@@ -20,6 +20,7 @@ Exit codes: 0 success (a value of 0 is a success), 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import random
 import re
@@ -50,7 +51,7 @@ from .oracle import (
     string_eq_psi_integral,
     surviving_decompositions,
 )
-from .trees import MarkedSet, Split, enumerate_stable_trees, make_split, ordered_splits, tree_from_splits
+from .trees import MarkedSet, Split, enumerate_stable_trees, make_split, tree_from_splits
 from .weights import EvalResult, balance, evaluate, evaluate_ratio
 
 _NAT = re.compile(r"[0-9]+")
@@ -187,8 +188,10 @@ def to_boundary_product(expr: Expression) -> BoundaryProduct:
     return BoundaryProduct(ground, divisors, psi)
 
 
-def _split_text(split: Split) -> str:
-    return str(split)
+def _digits(value: int) -> str:
+    # Decimal prints any number of digits exactly; str(int) refuses more than
+    # sys.get_int_max_str_digits() of them
+    return str(decimal.Decimal(value))
 
 
 def _evaluate_expression(expr: Expression):
@@ -205,19 +208,18 @@ def _text_output(n: int, decorated, result: EvalResult) -> str:
         lines.append("value = 0 (empty intersection)")
         return "\n".join(lines) + "\n"
     tree = decorated.tree
-    edges = ordered_splits(tree.splits)
     lines.append(f"stratum: codim {tree.codim}, dim {tree.dim}")
     for v in tree.vertices:
         leaves = ",".join(str(x) for x in tree.leaves_at(v)) or "-"
         lines.append(f"  v{v}: leaves {leaves}  dim {decorated.vertex_dim(v)}")
     w = result.weighting
     edge_factor = dict(result.edge_factors)
-    for e in edges:
+    for e in tree.edges:
         p, c = tree.edge_ends(e)
         k = decorated.edge_weight[e]
-        line = f"  edge v{p}-v{c}  {_split_text(e)}  k={k}"
+        line = f"  edge v{p}-v{c}  {e}  k={k}"
         if w is not None:
-            line += f"  halves {w.at(p, e)}+{w.at(c, e)}  factor {edge_factor[e]}"
+            line += f"  halves {w.at(p, e)}+{w.at(c, e)}  factor {_digits(edge_factor[e])}"
         lines.append(line)
     for lab in sorted(decorated.psi_weight):
         lines.append(
@@ -227,10 +229,11 @@ def _text_output(n: int, decorated, result: EvalResult) -> str:
         lines.append("value = 0 (no balanced weighting)")
         return "\n".join(lines) + "\n"
     vertex_factor = dict(result.vertex_factors)
-    factors = [str(f) for f in edge_factor.values()] + [str(vertex_factor[v]) for v in tree.vertices]
+    factors = [_digits(f) for f in edge_factor.values()]
+    factors += [_digits(vertex_factor[v]) for v in tree.vertices]
     lines.append(f"factors: {' * '.join(factors)}")
     lines.append(f"sign = {'+1' if result.sign > 0 else '-1'}")
-    lines.append(f"value = {result.value}")
+    lines.append(f"value = {_digits(result.value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -249,14 +252,14 @@ def _json_output(n: int, decorated, result: EvalResult) -> str:
         }
         return json.dumps(payload) + "\n"
     tree = decorated.tree
-    edges = ordered_splits(tree.splits)
+    blocks = [list(e.block) for e in tree.edges]
     payload = {
         "n": n,
-        "value": str(result.value),
+        "value": _digits(result.value),
         "sign": result.sign,
         "reason": result.reason,
-        "stratum": {"splits": [list(e.block) for e in edges]},
-        "edge_weights": [decorated.edge_weight[e] for e in edges],
+        "stratum": {"splits": blocks},
+        "edge_weights": [decorated.edge_weight[e] for e in tree.edges],
         "vertex_dims": [decorated.vertex_dim(v) for v in tree.vertices],
         "balanced": [],
         "factors": {"edges": [], "vertices": []},
@@ -264,13 +267,13 @@ def _json_output(n: int, decorated, result: EvalResult) -> str:
     if result.weighting is not None:
         w = result.weighting
         balanced = []
-        for e in edges:
+        for e, block in zip(tree.edges, blocks):
             p, c = tree.edge_ends(e)
-            balanced.append({"edge": list(e.block), "halves": [w.at(p, e), w.at(c, e)]})
+            balanced.append({"edge": block, "halves": [w.at(p, e), w.at(c, e)]})
         payload["balanced"] = balanced
         payload["factors"] = {
-            "edges": [str(f) for _, f in result.edge_factors],
-            "vertices": [str(f) for _, f in result.vertex_factors],
+            "edges": [_digits(f) for _, f in result.edge_factors],
+            "vertices": [_digits(f) for _, f in result.vertex_factors],
         }
     return json.dumps(payload) + "\n"
 
@@ -285,7 +288,7 @@ def _dot_output(n: int, decorated, result: EvalResult) -> str:
         lines.append("  node [shape=circle];")
         for v in tree.vertices:
             lines.append(f'  v{v} [label="{decorated.vertex_dim(v)}"];')
-        for e in ordered_splits(tree.splits):
+        for e in tree.edges:
             p, c = tree.edge_ends(e)
             k = decorated.edge_weight[e]
             label = f"k={k}"
@@ -334,26 +337,22 @@ def _cmd_explain(args) -> int:
         if divisors:
             out.append("assembling the stratum one divisor at a time:")
             tree = tree_from_splits(MarkedSet.range(args.n), divisors[:1])
-            out.append(f"  start with {_split_text(divisors[0])}")
+            out.append(f"  start with {divisors[0]}")
             for d in divisors[1:]:
                 try:
                     coloring = color_for_divisor(tree, d)
                 except EdgeConditionFails as fail:
                     out.append(
-                        f"  insert {_split_text(d)}: incompatible with edge "
-                        f"{_split_text(fail.witness)} -- empty intersection"
+                        f"  insert {d}: incompatible with edge {fail.witness} -- empty intersection"
                     )
                     out.append("value = 0 (empty intersection)")
                     print("\n".join(out))
                     return 0
-                colored = ", ".join(
-                    f"{_split_text(e)}={coloring.edge_colors[e]}"
-                    for e in ordered_splits(tree.splits)
-                )
+                colored = ", ".join(f"{e}={coloring.edge_colors[e]}" for e in tree.edges)
                 blues = ",".join(
                     str(lab) for lab in tree.ground.labels if coloring.leaf_colors[lab] == "blue"
                 )
-                out.append(f"  insert {_split_text(d)}: edge colors [{colored}]")
+                out.append(f"  insert {d}: edge colors [{colored}]")
                 out.append(f"    blue leaves {{{blues}}}, split vertex v{coloring.split_vertex}")
                 tree = meet_divisor(tree, d)
 
@@ -374,7 +373,7 @@ def _cmd_explain(args) -> int:
     if trace:
         out.append("greedy balancing, peeling vertices with one unresolved edge:")
         for v, e, near, far in trace:
-            out.append(f"  peel v{v} along {_split_text(e)}: k(v{v})={near}, far half={far}")
+            out.append(f"  peel v{v} along {e}: k(v{v})={near}, far half={far}")
     if weighting is None:
         out.append("a half-weight went negative: no balanced weighting")
         out.append("value = 0 (no balanced weighting)")
@@ -385,12 +384,12 @@ def _cmd_explain(args) -> int:
         k = decorated.edge_weight[e]
         p, c = tree.edge_ends(e)
         out.append(
-            f"edge {_split_text(e)}: ({k}; {weighting.at(p, e)},{weighting.at(c, e)}) -> {f}"
+            f"edge {e}: ({k}; {weighting.at(p, e)},{weighting.at(c, e)}) -> {_digits(f)}"
         )
     for v, f in result.vertex_factors:
-        out.append(f"vertex v{v}: multinomial of dim {decorated.vertex_dim(v)} -> {f}")
+        out.append(f"vertex v{v}: multinomial of dim {decorated.vertex_dim(v)} -> {_digits(f)}")
     out.append(f"sign = {'+1' if result.sign > 0 else '-1'}")
-    out.append(f"value = {result.value}")
+    out.append(f"value = {_digits(result.value)}")
     print("\n".join(out))
     return 0
 
@@ -403,7 +402,7 @@ def _cmd_enumerate(args) -> int:
             if tree.codim == 0:
                 print("(trivial stratum)")
             else:
-                print(" ; ".join(_split_text(e) for e in ordered_splits(tree.splits)))
+                print(" ; ".join(str(e) for e in tree.edges))
     if args.count_only:
         print(count)
     return 0
@@ -533,18 +532,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UnstableSplit, LabelOutOfRange, TooLarge, DegreeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnstableSplit, LabelOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegreeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, DegreeMismatch) else 2
 
 
 def entry() -> None:

@@ -28,7 +28,6 @@ from .trees import (
     StableTree,
     _masks_compatible,
     make_split,
-    ordered_splits,
     tree_from_splits,
 )
 
@@ -105,7 +104,7 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     x = divisor.block_mask
     full = tree.ground.full_mask
     edge_colors: dict[Split, str] = {}
-    for e in ordered_splits(tree.splits):
+    for e in tree.edges:
         b = e.block_mask
         if not _masks_compatible(b, x, full):
             raise EdgeConditionFails(e)
@@ -152,7 +151,7 @@ def apply_coloring(coloring: Coloring) -> StableTree:
 
     fresh = tree.num_vertices
     links: list[tuple[int, int]] = []
-    for e in ordered_splits(tree.splits):
+    for e in tree.edges:
         p, c = tree.edge_ends(e)
         if p == v and coloring.edge_colors[e] == RED:
             p = fresh
@@ -280,7 +279,7 @@ class DecoratedTree:
     psi_weight: dict[int, int]
 
     def __post_init__(self):
-        normalized = {e: 0 for e in ordered_splits(self.tree.splits)}
+        normalized = {e: 0 for e in self.tree.edges}
         for e, k in self.edge_weight.items():
             if e not in normalized:
                 raise NotInternalEdge(f"{e} is not an edge of the decorated tree")

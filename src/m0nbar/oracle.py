@@ -25,7 +25,6 @@ from .trees import (
     StableTree,
     enumerate_stable_trees,
     make_split,
-    ordered_splits,
     tree_from_splits,
 )
 
@@ -54,7 +53,7 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[dict, int]]
         raise BudgetExceeded(
             f"total edge weight {k_total} exceeds the expansion guard {EXPANSION_BUDGET}"
         )
-    edges = ordered_splits(tree.splits)
+    edges = tree.edges
     psi_load = {v: sum(w for _, w in decorated.psi_at(v)) for v in tree.vertices}
     out = []
     for combo in itertools.product(*(range(decorated.edge_weight[e] + 1) for e in edges)):
@@ -249,7 +248,7 @@ def random_decorated_tree(
     """
     tree = random_stable_tree(n, rng)
     budget = tree.dim
-    edges = ordered_splits(tree.splits)
+    edges = tree.edges
     psi_budget = 0
     if not edges:
         psi_budget = budget

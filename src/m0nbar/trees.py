@@ -154,18 +154,21 @@ class StableTree:
     Internal vertices are numbered deterministically: vertex 0 is the one
     whose side of every split contains the smallest label, and the rest
     follow in depth-first order with children visited by smallest contained
-    label.  Internal edges are identified with their splits.
+    label.  Internal edges are identified with their splits; ``edges`` holds
+    them in the canonical order (lexicographic by block), and ``splits`` is
+    the same edges as a set.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
-    __slots__ = ("ground", "splits", "_edges_at", "_leaves_at", "_ends",
+    __slots__ = ("ground", "edges", "splits", "_edges_at", "_leaves_at", "_ends",
                  "_leaf_home", "_parent", "_dim")
 
-    def __init__(self, ground, splits, edges_at, leaves_at, ends, leaf_home, parent):
+    def __init__(self, ground, edges, edges_at, leaves_at, ends, leaf_home, parent):
         self.ground = ground
-        self.splits = splits
+        self.edges = edges
+        self.splits = frozenset(edges)
         self._edges_at = edges_at
         self._leaves_at = leaves_at
         self._ends = ends
@@ -183,7 +186,7 @@ class StableTree:
 
     @property
     def codim(self) -> int:
-        return len(self.splits)
+        return len(self.edges)
 
     @property
     def dim(self) -> int:
@@ -271,7 +274,7 @@ class StableTree:
         return hash((self.ground, self.splits))
 
     def __repr__(self):
-        shown = "; ".join(str(s) for s in ordered_splits(self.splits))
+        shown = "; ".join(str(s) for s in self.edges)
         return f"<StableTree n={self.ground.n} codim={self.codim} [{shown}]>"
 
 
@@ -357,7 +360,7 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     leaf_home = {lab: v for v in range(nv) for lab in leaves_at[v]}
     tree = StableTree(
         ground,
-        frozenset(ordered),
+        ordered,
         tuple(tuple(e) for e in edges_at),
         tuple(tuple(l) for l in leaves_at),
         ends,

@@ -10,13 +10,14 @@ coefficient per edge and per vertex.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .combinat import factorial, multinomial
 from .errors import DegreeMismatch, DimensionUnbalanced, NoBalanceGiven
 from .intersect import DecoratedTree
-from .trees import Split, ordered_splits
+from .trees import Split
 
 
 @dataclass
@@ -56,41 +57,36 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> Optional[Bal
 
     Peels greedily: any vertex with exactly one unresolved edge must send
     its entire residual dimension (vertex dimension minus psi weights minus
-    already-fixed half-weights) down that edge.  A negative assignment on
-    either end kills the weighting.  ``trace``, if given, collects the peel
-    steps as (vertex, edge, near half, far half) tuples.
+    already-fixed half-weights) down that edge.  The lowest-numbered such
+    vertex is peeled first.  A negative assignment on either end kills the
+    weighting.  ``trace``, if given, collects the peel steps as (vertex,
+    edge, near half, far half) tuples.
 
     Raises DimensionUnbalanced when edge plus psi weights do not sum to the
     total vertex dimension, since the question is ill-posed then.
     """
-    return _greedy_balance(decorated, min, trace)
-
-
-def _greedy_balance(
-    decorated: DecoratedTree,
-    choose: Callable[[list[int]], int],
-    trace: list | None = None,
-) -> Optional[BalancedWeighting]:
     tree = decorated.tree
     supplied = decorated.weight_total
     if supplied != tree.dim:
         raise DimensionUnbalanced(
             f"edge weights + psi weights = {supplied}, but the stratum has dimension {tree.dim}"
         )
-    residual = {
-        v: decorated.vertex_dim(v) - sum(w for _, w in decorated.psi_at(v))
+    residual = [
+        decorated.vertex_dim(v) - sum(w for _, w in decorated.psi_at(v))
         for v in tree.vertices
-    }
-    if any(r < 0 for r in residual.values()):
+    ]
+    if any(r < 0 for r in residual):
         return None
 
-    pending = {v: set(tree.edges_at(v)) for v in tree.vertices}
+    pending = [set(tree.edges_at(v)) for v in tree.vertices]
+    # a heap (ascending, so already heap-ordered) of the unpeeled vertices
+    # with exactly one unresolved edge; a tree on V vertices takes V - 1 peels
+    ready = [v for v in tree.vertices if len(pending[v]) == 1]
     half: dict[tuple[int, Split], int] = {}
-    remaining = set(tree.vertices)
-    while len(remaining) > 1:
-        candidates = sorted(v for v in remaining if len(pending[v]) == 1)
-        v = choose(candidates)
-        e = next(iter(pending[v]))
+    last = 0
+    for _ in range(tree.num_vertices - 1):
+        v = heapq.heappop(ready)
+        e = pending[v].pop()
         p, c = tree.edge_ends(e)
         other = c if v == p else p
         near = residual[v]
@@ -101,21 +97,15 @@ def _greedy_balance(
             return None
         half[(v, e)] = near
         half[(other, e)] = far
-        residual[v] = 0
         residual[other] -= far
-        remaining.discard(v)
         pending[other].discard(e)
+        if len(pending[other]) == 1:
+            heapq.heappush(ready, other)
+        last = other
 
-    last = next(iter(remaining))
     if residual[last] != 0:
         return None
-
-    stable = {}
-    for e in ordered_splits(tree.splits):
-        p, c = tree.edge_ends(e)
-        stable[(p, e)] = half[(p, e)]
-        stable[(c, e)] = half[(c, e)]
-    return BalancedWeighting(decorated, stable)
+    return BalancedWeighting(decorated, half)
 
 
 def evaluate(decorated: DecoratedTree) -> EvalResult:
@@ -135,7 +125,7 @@ def evaluate(decorated: DecoratedTree) -> EvalResult:
 
     tree = decorated.tree
     edge_factors = []
-    for e in ordered_splits(tree.splits):
+    for e in tree.edges:
         p, c = tree.edge_ends(e)
         k = decorated.edge_weight[e]
         edge_factors.append((e, multinomial(k, (weighting.at(p, e), weighting.at(c, e)))))

@@ -2,17 +2,25 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from m0nbar.cli import main, parse, render, to_boundary_product
-from m0nbar.errors import LabelOutOfRange, ParseError, UnstableSplit
+from m0nbar.cli import build_parser, main, parse, render, to_boundary_product
+from m0nbar.errors import DegreeMismatch, LabelOutOfRange, ParseError, TooLarge, UnstableSplit
 from m0nbar.trees import MarkedSet, make_split
 
 EXAMPLE = "D{1,2}^2 D{3,4,5}^3 D{1,2,3,4,5,6,7,8}^4 D{11,12} D{13,14,15}^2"
 PSI_EXAMPLE = "psi4 psi7^2 D{1,2}^2 D{3,4,5} D{1,2,3,4,5,6,7,8}^3 D{11,12} D{13,14,15}^2"
+
+# Exact stdout of eval (text/json/dot), explain and explain --coloring for
+# the two README examples, an empty meet (n=5) and a no_balance product
+# (n=7), plus enumerate --n 5.  Refactors must leave these bytes alone.
+PINNED = json.loads(Path(__file__).with_name("cli_stdout.json").read_text())
 
 
 class TestParse:
@@ -164,6 +172,46 @@ class TestEval:
         assert main(["eval", "--n", "5", "D{1,2}"]) == 3
         err = capsys.readouterr().err
         assert "degree 1" in err and "n - 3 = 2" in err
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: " ".join(case["argv"]))
+def test_pinned_stdout(case, capsys):
+    assert main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "argv, error, code",
+    [
+        (["eval", "--n", "5", "D{1,2} @"], ParseError, 2),
+        (["eval", "--n", "5", "D{1}"], UnstableSplit, 2),
+        (["eval", "--n", "5", "D{1,7}"], LabelOutOfRange, 2),
+        (["eval", "--n", "5", "psi0"], LabelOutOfRange, 2),
+        (["enumerate", "--n", "10"], TooLarge, 2),
+        (["eval", "--n", "5", "D{1,2}"], DegreeMismatch, 3),
+    ],
+)
+def test_error_exit_codes(argv, error, code, capsys):
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error):
+        args.func(args)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["eval", "--format", "json"], ["eval"], ["explain"]])
+def test_value_past_the_int_text_limit(command, capsys):
+    # psi1 ... psi1997 on 2000 points is 1997!, over 5700 digits
+    expr = " ".join(f"psi{i}" for i in range(1, 1998))
+    assert main([*command, "--n", "2000", expr]) == 0
+    out = capsys.readouterr().out
+    if "json" in command:
+        value = json.loads(out)["value"]
+    else:
+        value = out.rstrip("\n").rpartition("value = ")[2]
+    assert int(Decimal(value)) == math.factorial(1997)
 
 
 class TestExplain:

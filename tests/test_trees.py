@@ -118,6 +118,14 @@ class TestReconstruction:
                     with pytest.raises(IncompatibleSplits):
                         tree_from_splits(ground, (s, t))
 
+    def test_edges_hold_the_splits_in_canonical_order(self, nine_point_tree):
+        assert [str(e) for e in nine_point_tree.edges] == [
+            "2,3,5,6,7,8,9|1,4", "2,6,8|1,3,4,5,7,9", "3,5,7,9|1,2,4,6,8", "3,9|1,2,4,5,6,7,8",
+        ]
+        for t in enumerate_stable_trees(6):
+            assert t.edges == ordered_splits(t.splits)
+            assert frozenset(t.edges) == t.splits and len(t.edges) == t.codim
+
     def test_vertex_numbering_is_deterministic(self, nine_point_tree):
         ground = MarkedSet.range(9)
         again = tree_from_splits(ground, reversed(ordered_splits(nine_point_tree.splits)))

@@ -6,15 +6,9 @@ import pytest
 
 from m0nbar.errors import DegreeMismatch, DimensionUnbalanced, NoBalanceGiven
 from m0nbar.intersect import BoundaryProduct, DecoratedTree, product_to_decorated
-from m0nbar.oracle import expansion_eval, random_decorated_tree
+from m0nbar.oracle import expansion_eval, random_decorated_tree, surviving_decompositions
 from m0nbar.trees import MarkedSet, make_split, tree_from_splits
-from m0nbar.weights import (
-    _greedy_balance,
-    balance,
-    evaluate,
-    evaluate_ratio,
-    integrate_psi_monomial,
-)
+from m0nbar.weights import balance, evaluate, evaluate_ratio, integrate_psi_monomial
 
 G4 = MarkedSet.range(4)
 G5 = MarkedSet.range(5)
@@ -84,18 +78,18 @@ class TestBalance:
             evaluate(bad)
 
     def test_peel_order_does_not_matter(self):
+        # balance equals the unique decomposition the expansion oracle finds
+        # without peeling, so no other peel order could reach another answer
         rng = random.Random(11)
         for _ in range(150):
             decorated = random_decorated_tree(rng.randint(4, 9), rng)
-            reference = balance(decorated)
-            for seed in range(3):
-                chooser = random.Random(seed).choice
-                other = _greedy_balance(decorated, chooser)
-                if reference is None:
-                    assert other is None
-                else:
-                    assert other is not None
-                    assert other.half_weight == reference.half_weight
+            survivors = surviving_decompositions(decorated)
+            assert len(survivors) <= 1
+            weighting = balance(decorated)
+            if survivors:
+                assert weighting.half_weight == survivors[0][0]
+            else:
+                assert weighting is None
 
 
 class TestEvaluate:
