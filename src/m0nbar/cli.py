@@ -20,7 +20,9 @@ Exit codes: 0 success (a value of 0 is a success), 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import collections
 import decimal
+import itertools
 import json
 import random
 import re
@@ -44,6 +46,7 @@ from .intersect import (
     product_to_decorated,
 )
 from .oracle import (
+    FLAG_LIMIT,
     compositions,
     expansion_eval,
     flag_certify,
@@ -56,7 +59,7 @@ from .weights import EvalResult, balance, evaluate, evaluate_ratio
 
 _NAT = re.compile(r"[0-9]+")
 
-_CHECK_GUARDS = {"expansion": 8, "string": 10, "flag": 7}
+_CHECK_GUARDS = {"expansion": 8, "string": 10, "flag": FLAG_LIMIT}
 _FLAG_SAMPLE = 100_000
 _EXPANSION_TRIALS = 300
 
@@ -90,7 +93,10 @@ def parse(text: str, n: int) -> Expression:
         m = _NAT.match(text, p)
         if not m:
             raise ParseError(p, f"expected {what}")
-        return int(m.group()), m.end()
+        try:
+            return int(m.group()), m.end()
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError(p, f"{what} has too many digits") from None
 
     def read_block(p: int) -> tuple[list[int], int]:
         if p >= size or text[p] != "{":
@@ -194,112 +200,107 @@ def _digits(value: int) -> str:
     return str(decimal.Decimal(value))
 
 
-def _evaluate_expression(expr: Expression):
+# One product's evaluation as rows that every output format prints.
+# ``decorated`` is None when the strata do not meet.  ``edges`` follow
+# ``tree.edges`` and ``vertices`` the vertex numbering; halves and factors
+# are None when no balanced weighting exists.
+_Report = collections.namedtuple("_Report", "product decorated result edges vertices")
+_EdgeRow = collections.namedtuple("_EdgeRow", "split parent child k halves factor")
+_VertexRow = collections.namedtuple("_VertexRow", "leaves dim psi factor")
+
+
+def _report(expr: Expression) -> _Report:
     product = to_boundary_product(expr)
     decorated = product_to_decorated(product)
     if decorated is EMPTY:
-        return None, EvalResult.empty_intersection()
-    return decorated, evaluate(decorated)
-
-
-def _text_output(n: int, decorated, result: EvalResult) -> str:
-    lines = [f"n = {n}"]
-    if decorated is None:
-        lines.append("value = 0 (empty intersection)")
-        return "\n".join(lines) + "\n"
-    tree = decorated.tree
-    lines.append(f"stratum: codim {tree.codim}, dim {tree.dim}")
-    for v in tree.vertices:
-        leaves = ",".join(str(x) for x in tree.leaves_at(v)) or "-"
-        lines.append(f"  v{v}: leaves {leaves}  dim {decorated.vertex_dim(v)}")
-    w = result.weighting
-    edge_factor = dict(result.edge_factors)
-    for e in tree.edges:
+        return _Report(product, None, EvalResult.empty_intersection(), [], [])
+    result = evaluate(decorated)
+    tree, w = decorated.tree, result.weighting
+    # both factor tuples follow tree order, and are empty when w is None
+    pad = (None, None)
+    edges = []
+    for e, (_, f) in itertools.zip_longest(tree.edges, result.edge_factors, fillvalue=pad):
         p, c = tree.edge_ends(e)
-        k = decorated.edge_weight[e]
-        line = f"  edge v{p}-v{c}  {e}  k={k}"
-        if w is not None:
-            line += f"  halves {w.at(p, e)}+{w.at(c, e)}  factor {_digits(edge_factor[e])}"
-        lines.append(line)
-    for lab in sorted(decorated.psi_weight):
-        lines.append(
-            f"  psi at leaf {lab} (v{tree.leaf_vertex(lab)}): weight {decorated.psi_weight[lab]}"
-        )
-    if w is None:
-        lines.append("value = 0 (no balanced weighting)")
-        return "\n".join(lines) + "\n"
-    vertex_factor = dict(result.vertex_factors)
-    factors = [_digits(f) for f in edge_factor.values()]
-    factors += [_digits(vertex_factor[v]) for v in tree.vertices]
-    lines.append(f"factors: {' * '.join(factors)}")
-    lines.append(f"sign = {'+1' if result.sign > 0 else '-1'}")
-    lines.append(f"value = {_digits(result.value)}")
-    return "\n".join(lines) + "\n"
+        halves = None if w is None else (w.at(p, e), w.at(c, e))
+        edges.append(_EdgeRow(e, p, c, decorated.edge_weight[e], halves, f))
+    vertices = [
+        _VertexRow(tree.leaves_at(v), decorated.vertex_dim(v), decorated.psi_at(v), f)
+        for v, (_, f) in itertools.zip_longest(tree.vertices, result.vertex_factors, fillvalue=pad)
+    ]
+    return _Report(product, decorated, result, edges, vertices)
 
 
-def _json_output(n: int, decorated, result: EvalResult) -> str:
-    if decorated is None:
-        payload = {
-            "n": n,
-            "value": "0",
-            "sign": 1,
-            "reason": "empty",
-            "stratum": None,
-            "edge_weights": [],
-            "vertex_dims": [],
-            "balanced": [],
-            "factors": {"edges": [], "vertices": []},
-        }
-        return json.dumps(payload) + "\n"
-    tree = decorated.tree
-    blocks = [list(e.block) for e in tree.edges]
+def _verdict(report: _Report) -> list[str]:
+    if report.decorated is None:
+        return ["value = 0 (empty intersection)"]
+    result = report.result
+    if result.weighting is None:
+        return ["value = 0 (no balanced weighting)"]
+    return [f"sign = {'+1' if result.sign > 0 else '-1'}", f"value = {_digits(result.value)}"]
+
+
+def _text_output(report: _Report) -> str:
+    lines = [f"n = {report.product.ground.n}"]
+    if report.decorated is not None:
+        dim = sum(row.dim for row in report.vertices)
+        lines.append(f"stratum: codim {len(report.edges)}, dim {dim}")
+        for v, row in enumerate(report.vertices):
+            lines.append(f"  v{v}: leaves {','.join(map(str, row.leaves)) or '-'}  dim {row.dim}")
+        for row in report.edges:
+            line = f"  edge v{row.parent}-v{row.child}  {row.split}  k={row.k}"
+            if row.halves is not None:
+                line += f"  halves {row.halves[0]}+{row.halves[1]}  factor {_digits(row.factor)}"
+            lines.append(line)
+        psi = sorted((lab, v, w) for v, row in enumerate(report.vertices) for lab, w in row.psi)
+        lines += [f"  psi at leaf {lab} (v{v}): weight {w}" for lab, v, w in psi]
+        if report.result.weighting is not None:
+            factors = [_digits(row.factor) for row in report.edges + report.vertices]
+            lines.append(f"factors: {' * '.join(factors)}")
+    return "\n".join(lines + _verdict(report)) + "\n"
+
+
+def _json_output(report: _Report) -> str:
+    result = report.result
+    blocks = [list(row.split.block) for row in report.edges]
     payload = {
-        "n": n,
+        "n": report.product.ground.n,
         "value": _digits(result.value),
         "sign": result.sign,
         "reason": result.reason,
-        "stratum": {"splits": blocks},
-        "edge_weights": [decorated.edge_weight[e] for e in tree.edges],
-        "vertex_dims": [decorated.vertex_dim(v) for v in tree.vertices],
+        "stratum": None if report.decorated is None else {"splits": blocks},
+        "edge_weights": [row.k for row in report.edges],
+        "vertex_dims": [row.dim for row in report.vertices],
         "balanced": [],
         "factors": {"edges": [], "vertices": []},
     }
     if result.weighting is not None:
-        w = result.weighting
-        balanced = []
-        for e, block in zip(tree.edges, blocks):
-            p, c = tree.edge_ends(e)
-            balanced.append({"edge": block, "halves": [w.at(p, e), w.at(c, e)]})
-        payload["balanced"] = balanced
+        payload["balanced"] = [
+            {"edge": block, "halves": list(row.halves)} for block, row in zip(blocks, report.edges)
+        ]
         payload["factors"] = {
-            "edges": [_digits(f) for _, f in result.edge_factors],
-            "vertices": [_digits(f) for _, f in result.vertex_factors],
+            "edges": [_digits(row.factor) for row in report.edges],
+            "vertices": [_digits(row.factor) for row in report.vertices],
         }
     return json.dumps(payload) + "\n"
 
 
-def _dot_output(n: int, decorated, result: EvalResult) -> str:
+def _dot_output(report: _Report) -> str:
     lines = ["graph stratum {"]
-    if decorated is None:
+    if report.decorated is None:
         lines.append('  note [shape=plaintext, label="empty intersection: value 0"];')
     else:
-        tree = decorated.tree
-        w = result.weighting
         lines.append("  node [shape=circle];")
-        for v in tree.vertices:
-            lines.append(f'  v{v} [label="{decorated.vertex_dim(v)}"];')
-        for e in tree.edges:
-            p, c = tree.edge_ends(e)
-            k = decorated.edge_weight[e]
-            label = f"k={k}"
-            if w is not None:
-                label += f": {w.at(p, e)}+{w.at(c, e)}"
-            lines.append(f'  v{p} -- v{c} [label="{label}"];')
-        for v in tree.vertices:
-            for lab in tree.leaves_at(v):
+        lines += [f'  v{v} [label="{row.dim}"];' for v, row in enumerate(report.vertices)]
+        for row in report.edges:
+            label = f"k={row.k}"
+            if row.halves is not None:
+                label += f": {row.halves[0]}+{row.halves[1]}"
+            lines.append(f'  v{row.parent} -- v{row.child} [label="{label}"];')
+        for v, row in enumerate(report.vertices):
+            psi = dict(row.psi)
+            for lab in row.leaves:
                 lines.append(f'  leaf{lab} [shape=plaintext, label="{lab}"];')
-                psi = decorated.psi_weight.get(lab, 0)
-                suffix = f' [label="psi={psi}"]' if psi else ""
+                suffix = f' [label="psi={psi[lab]}"]' if lab in psi else ""
                 lines.append(f"  v{v} -- leaf{lab}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -311,85 +312,78 @@ def _read_expression(args) -> Expression:
 
 
 def _cmd_eval(args) -> int:
-    expr = _read_expression(args)
-    decorated, result = _evaluate_expression(expr)
     renderer = {"text": _text_output, "json": _json_output, "dot": _dot_output}[args.format]
-    sys.stdout.write(renderer(args.n, decorated, result))
+    sys.stdout.write(renderer(_report(_read_expression(args))))
     return 0
+
+
+def _coloring_steps(expr: Expression) -> list[str]:
+    divisors = []
+    for kind, payload, exponent in expr.factors:
+        if kind == "divisor" and exponent > 0 and payload not in divisors:
+            divisors.append(payload)
+    if not divisors:
+        return []
+    steps = ["assembling the stratum one divisor at a time:", f"  start with {divisors[0]}"]
+    tree = tree_from_splits(MarkedSet.range(expr.n), divisors[:1])
+    for d in divisors[1:]:
+        try:
+            coloring = color_for_divisor(tree, d)
+        except EdgeConditionFails as fail:
+            # the strata do not meet, so the report's verdict is "empty"
+            steps.append(
+                f"  insert {d}: incompatible with edge {fail.witness} -- empty intersection"
+            )
+            break
+        colored = ", ".join(f"{e}={coloring.edge_colors[e]}" for e in tree.edges)
+        blues = ",".join(
+            str(lab) for lab in tree.ground.labels if coloring.leaf_colors[lab] == "blue"
+        )
+        steps.append(f"  insert {d}: edge colors [{colored}]")
+        steps.append(f"    blue leaves {{{blues}}}, split vertex v{coloring.split_vertex}")
+        tree = meet_divisor(tree, d)
+    return steps
 
 
 def _cmd_explain(args) -> int:
     expr = _read_expression(args)
-    product = to_boundary_product(expr)
-    out = [f"n = {args.n}", f"product: {render(expr)}"]
-    out.append(
-        f"degree: {product.total_degree} (divisors "
-        f"{sum(product.divisor_powers.values())} + psi {sum(product.psi_powers.values())}), "
-        f"n - 3 = {args.n - 3}"
-    )
-    decorated = product_to_decorated(product)  # raises DegreeMismatch before any output
-
+    report = _report(expr)  # raises DegreeMismatch before any output
+    product = report.product
+    out = [
+        f"n = {args.n}",
+        f"product: {render(expr)}",
+        f"degree: {product.total_degree} (divisors {sum(product.divisor_powers.values())} "
+        f"+ psi {sum(product.psi_powers.values())}), n - 3 = {args.n - 3}",
+    ]
     if args.coloring:
-        divisors = []
-        for kind, payload, exponent in expr.factors:
-            if kind == "divisor" and exponent > 0 and payload not in divisors:
-                divisors.append(payload)
-        if divisors:
-            out.append("assembling the stratum one divisor at a time:")
-            tree = tree_from_splits(MarkedSet.range(args.n), divisors[:1])
-            out.append(f"  start with {divisors[0]}")
-            for d in divisors[1:]:
-                try:
-                    coloring = color_for_divisor(tree, d)
-                except EdgeConditionFails as fail:
-                    out.append(
-                        f"  insert {d}: incompatible with edge {fail.witness} -- empty intersection"
-                    )
-                    out.append("value = 0 (empty intersection)")
-                    print("\n".join(out))
-                    return 0
-                colored = ", ".join(f"{e}={coloring.edge_colors[e]}" for e in tree.edges)
-                blues = ",".join(
-                    str(lab) for lab in tree.ground.labels if coloring.leaf_colors[lab] == "blue"
-                )
-                out.append(f"  insert {d}: edge colors [{colored}]")
-                out.append(f"    blue leaves {{{blues}}}, split vertex v{coloring.split_vertex}")
-                tree = meet_divisor(tree, d)
-
-    if decorated is EMPTY:
-        out.append("value = 0 (empty intersection)")
-        print("\n".join(out))
-        return 0
-
-    tree = decorated.tree
-    out.append(f"stratum has {tree.num_vertices} internal vertices:")
-    for v in tree.vertices:
-        leaves = ",".join(str(x) for x in tree.leaves_at(v)) or "-"
-        psi = ", ".join(f"psi^{w} at leaf {lab}" for lab, w in decorated.psi_at(v))
-        extra = f", {psi}" if psi else ""
-        out.append(f"  v{v}: leaves {{{leaves}}}, dim {decorated.vertex_dim(v)}{extra}")
-    trace: list = []
-    weighting = balance(decorated, trace)
-    if trace:
-        out.append("greedy balancing, peeling vertices with one unresolved edge:")
-        for v, e, near, far in trace:
-            out.append(f"  peel v{v} along {e}: k(v{v})={near}, far half={far}")
-    if weighting is None:
-        out.append("a half-weight went negative: no balanced weighting")
-        out.append("value = 0 (no balanced weighting)")
-        print("\n".join(out))
-        return 0
-    result = evaluate(decorated)
-    for e, f in result.edge_factors:
-        k = decorated.edge_weight[e]
-        p, c = tree.edge_ends(e)
-        out.append(
-            f"edge {e}: ({k}; {weighting.at(p, e)},{weighting.at(c, e)}) -> {_digits(f)}"
-        )
-    for v, f in result.vertex_factors:
-        out.append(f"vertex v{v}: multinomial of dim {decorated.vertex_dim(v)} -> {_digits(f)}")
-    out.append(f"sign = {'+1' if result.sign > 0 else '-1'}")
-    out.append(f"value = {_digits(result.value)}")
+        out += _coloring_steps(expr)
+    if report.decorated is not None:
+        out.append(f"stratum has {len(report.vertices)} internal vertices:")
+        for v, row in enumerate(report.vertices):
+            leaves = ",".join(map(str, row.leaves)) or "-"
+            psi = "".join(f", psi^{w} at leaf {lab}" for lab, w in row.psi)
+            out.append(f"  v{v}: leaves {{{leaves}}}, dim {row.dim}{psi}")
+        trace: list = []
+        balance(report.decorated, trace)
+        if trace:
+            out.append("greedy balancing, peeling vertices with one unresolved edge:")
+            for v, e, near, far in trace:
+                out.append(f"  peel v{v} along {e}: k(v{v})={near}, far half={far}")
+        if report.result.weighting is not None:
+            for row in report.edges:
+                out.append(f"edge {row.split}: ({row.k}; {row.halves[0]},{row.halves[1]}) "
+                           f"-> {_digits(row.factor)}")
+            for v, row in enumerate(report.vertices):
+                out.append(f"vertex v{v}: multinomial of dim {row.dim} -> {_digits(row.factor)}")
+        elif trace:
+            out.append("a half-weight went negative: no balanced weighting")
+        else:
+            # balance stops before any peel only when psi weights overload a vertex
+            loads = [(sum(w for _, w in row.psi), row.dim) for row in report.vertices]
+            v, (psi, dim) = next((v, load) for v, load in enumerate(loads) if load[0] > load[1])
+            out.append(f"psi weight {psi} at v{v} exceeds its dimension {dim}: "
+                       "no balanced weighting")
+    out += _verdict(report)
     print("\n".join(out))
     return 0
 

@@ -46,6 +46,11 @@ class MarkedSet:
             raise ValueError("stability needs at least 3 marked points")
         object.__setattr__(self, "labels", ordered)
         object.__setattr__(self, "_pos", {lab: i for i, lab in enumerate(ordered)})
+        # every Split hashes its ground set, so hash the labels only once
+        object.__setattr__(self, "_hash", hash(ordered))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def range(cls, n: int) -> "MarkedSet":

@@ -1,5 +1,6 @@
 """Expression grammar, output formats, and exit codes."""
 
+import contextlib
 import io
 import json
 import math
@@ -9,6 +10,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m0nbar.cli import build_parser, main, parse, render, to_boundary_product
 from m0nbar.errors import DegreeMismatch, LabelOutOfRange, ParseError, TooLarge, UnstableSplit
@@ -189,6 +192,9 @@ def test_pinned_stdout(case, capsys):
         (["eval", "--n", "5", "psi0"], LabelOutOfRange, 2),
         (["enumerate", "--n", "10"], TooLarge, 2),
         (["eval", "--n", "5", "D{1,2}"], DegreeMismatch, 3),
+        # literals past the int() digit limit
+        (["eval", "--n", "6", "D{" + "1" * 4400 + ",2}"], ParseError, 2),
+        (["eval", "--n", "6", "psi1^" + "1" * 4400], ParseError, 2),
     ],
 )
 def test_error_exit_codes(argv, error, code, capsys):
@@ -237,6 +243,14 @@ class TestExplain:
     def test_no_balance_narration(self, capsys):
         assert main(["explain", "--n", "7", "D{1,2}^3 D{5,6,7}"]) == 0
         assert "value = 0 (no balanced weighting)" in capsys.readouterr().out
+
+    def test_psi_overload_names_the_vertex(self, capsys):
+        # v0 carries leaves 1, 2 and one edge, so its dimension is 0
+        assert main(["explain", "--n", "6", "D{1,2} psi1^2"]) == 0
+        out = capsys.readouterr().out
+        assert "psi weight 2 at v0 exceeds its dimension 0: no balanced weighting" in out
+        assert "half-weight went negative" not in out
+        assert out.endswith("value = 0 (no balanced weighting)\n")
 
 
 class TestEnumerate:
@@ -287,3 +301,55 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "value = 1" in proc.stdout
+
+
+@st.composite
+def near_grammar(draw):
+    """(n, text): a product that mostly follows the grammar, at n 3..9."""
+    n = draw(st.integers(3, 9))
+    # 0 and n + 1 are out of range, so draw them rarely
+    label = st.sampled_from([*range(1, n + 1)] * 8 + [0, n + 1])
+    factors, degree = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            side = draw(st.lists(label, min_size=2, max_size=max(2, n - 2), unique=True))
+            text = "D{" + ",".join(map(str, side)) + "}"
+            if draw(st.booleans()):
+                rest = [lab for lab in range(1, n + 1) if lab not in side]
+                text += "|{" + ",".join(map(str, rest)) + "}"
+        else:
+            text = f"psi{draw(label)}"
+        exponent = draw(st.integers(0, 4) | st.none())
+        degree += 1 if exponent is None else exponent
+        factors.append(text if exponent is None else f"{text}^{exponent}")
+    # without a top-up almost every draw is a degree mismatch
+    if degree < n - 3 and draw(st.booleans()):
+        factors.append(f"psi{draw(st.integers(1, n))}^{n - 3 - degree}")
+    text = draw(st.sampled_from([" ", "*", " * "])).join(factors)
+    # one draw in three inserts a stray character
+    stray = draw(st.sampled_from([""] * 24 + list("{}|^,*0D9 xp")))
+    at = draw(st.integers(0, len(text)))
+    text = text[:at] + stray + text[at:]
+    return n, text
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(near_grammar())
+def test_grammar_fuzz_through_main(case):
+    n, text = case
+    try:
+        expr = parse(text, n)
+    except (ParseError, LabelOutOfRange, UnstableSplit):
+        pass
+    else:
+        assert parse(render(expr), n) == expr
+    for command in (["eval", "--format", "text"], ["eval", "--format", "json"],
+                    ["eval", "--format", "dot"], ["explain"], ["explain", "--coloring"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, "--n", str(n), text])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert err.getvalue().startswith("error: ")

@@ -72,6 +72,8 @@ class TestSplit:
 class TestMarkedSet:
     def test_labels_are_sorted_and_distinct(self):
         assert MarkedSet((3, 1, 2)).labels == (1, 2, 3)
+        assert MarkedSet((3, 1, 2)) == MarkedSet.range(3)
+        assert hash(MarkedSet((3, 1, 2))) == hash(MarkedSet.range(3))
         with pytest.raises(ValueError):
             MarkedSet((1, 1, 2))
 
