@@ -26,7 +26,6 @@ from .trees import (
     MarkedSet,
     Split,
     StableTree,
-    _masks_compatible,
     make_split,
     tree_from_splits,
 )
@@ -57,6 +56,12 @@ EMPTY = _EmptyIntersection()
 MeetResult = Union[StableTree, _EmptyIntersection]
 
 
+def _masks_compatible(a: int, b: int) -> bool:
+    # Canonical blocks avoid the smallest label, so two splits coexist in a
+    # tree iff their blocks are nested or disjoint.
+    return a & b in (0, a, b)
+
+
 def compatible(s1: Split, s2: Split) -> bool:
     """True iff the two divisors meet.
 
@@ -66,7 +71,7 @@ def compatible(s1: Split, s2: Split) -> bool:
     """
     if s1.ground != s2.ground:
         raise GroundMismatch("splits live on different ground sets")
-    return _masks_compatible(s1.block_mask, s2.block_mask, s1.ground.full_mask)
+    return _masks_compatible(s1.block_mask, s2.block_mask)
 
 
 @dataclass
@@ -106,7 +111,7 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     edge_colors: dict[Split, str] = {}
     for e in tree.edges:
         b = e.block_mask
-        if not _masks_compatible(b, x, full):
+        if not _masks_compatible(b, x):
             raise EdgeConditionFails(e)
         if b == x:
             edge_colors[e] = RED
@@ -195,13 +200,12 @@ def meet_divisor(tree: StableTree, divisor: Split) -> MeetResult:
     """
     if tree.ground != divisor.ground:
         raise GroundMismatch("tree and divisor live on different ground sets")
-    full = tree.ground.full_mask
-    for e in tree.splits:
-        if not _masks_compatible(e.block_mask, divisor.block_mask, full):
-            return EMPTY
     if divisor in tree.splits:
         return tree
-    return tree_from_splits(tree.ground, (*tree.splits, divisor))
+    try:
+        return tree_from_splits(tree.ground, (*tree.edges, divisor))
+    except IncompatibleSplits:
+        return EMPTY
 
 
 def meet_all(trees: Sequence[StableTree]) -> MeetResult:
@@ -233,9 +237,8 @@ def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
     """
     if t1.ground != t2.ground:
         raise GroundMismatch("strata live on different ground sets")
-    full = t1.ground.full_mask
     return all(
-        _masks_compatible(a.block_mask, b.block_mask, full)
+        _masks_compatible(a.block_mask, b.block_mask)
         for a in t1.splits
         for b in t2.splits
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -106,21 +107,33 @@ def string_eq_psi_integral(n: int, exponents: Mapping[int, int]) -> int:
     total = sum(exponents.values())
     if total != n - 3:
         raise DegreeMismatch(f"psi degrees sum to {total}, need n - 3 = {n - 3}")
-    positive = tuple(sorted(k for k in exponents.values() if k > 0))
-    return _string_recursion(n, positive)
+    return _string_recursion(tuple(sorted(k for k in exponents.values() if k > 0)))
 
 
-@lru_cache(maxsize=None)
-def _string_recursion(n: int, exps: tuple[int, ...]) -> int:
-    if n == 3:
-        return 1
-    total = 0
-    for i, k in enumerate(exps):
-        rest = exps[:i] + exps[i + 1 :]
-        if k > 1:
-            rest = rest + (k - 1,)
-        total += _string_recursion(n - 1, tuple(sorted(rest)))
-    return total
+# Bounded: a check suite asks for the same few exponent multisets over and
+# over, while the states inside one evaluation live only as long as it.
+@lru_cache(maxsize=256)
+def _string_recursion(root: tuple[int, ...]) -> int:
+    # Depth-first with an explicit stack: a state (the sorted positive
+    # exponents on sum + 3 points) is summed once every state it reduces to
+    # is known.  Lowering the first k in place keeps a state sorted, and
+    # equal exponents give equal terms, so each distinct k is taken once,
+    # weighted by how often it occurs.
+    memo: dict[tuple[int, ...], int] = {}
+    stack = [root]
+    while stack:
+        exps = stack[-1]
+        terms = []
+        for k, count in Counter(exps).items():
+            i = exps.index(k)
+            terms.append((count, exps[:i] + ((k - 1,) if k > 1 else ()) + exps[i + 1 :]))
+        todo = [rest for _, rest in terms if rest not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        memo[exps] = sum(count * memo[rest] for count, rest in terms) if exps else 1
+    return memo[root]
 
 
 @dataclass

@@ -31,6 +31,9 @@ from .errors import (
 # Exhaustive enumeration is meant for desk-scale verification runs.
 ENUMERATION_LIMIT = 9
 
+# maps the digits of bin(mask) to the 0/1 selectors itertools.compress reads
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class MarkedSet:
@@ -79,7 +82,8 @@ class MarkedSet:
         return mask
 
     def labels_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+        # bin() lists the bits high to low; reversed, digit i selects label i
+        return tuple(itertools.compress(self.labels, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 @dataclass(frozen=True)
@@ -143,16 +147,6 @@ def ordered_splits(splits: Iterable[Split]) -> tuple[Split, ...]:
     return tuple(sorted(splits, key=lambda s: s.block))
 
 
-def _masks_compatible(a: int, b: int, full: int) -> bool:
-    # Two partitions coexist in a tree iff some pair of their sides is disjoint.
-    return (
-        a & b == 0
-        or a & ~b & full == 0
-        or ~a & b & full == 0
-        or (a | b) == full
-    )
-
-
 class StableTree:
     """A boundary stratum: a compatible split system plus its tree structure.
 
@@ -168,9 +162,9 @@ class StableTree:
     """
 
     __slots__ = ("ground", "edges", "splits", "_edges_at", "_leaves_at", "_ends",
-                 "_leaf_home", "_parent", "_dim")
+                 "_leaf_home", "_dim")
 
-    def __init__(self, ground, edges, edges_at, leaves_at, ends, leaf_home, parent):
+    def __init__(self, ground, edges, edges_at, leaves_at, ends, leaf_home):
         self.ground = ground
         self.edges = edges
         self.splits = frozenset(edges)
@@ -178,7 +172,6 @@ class StableTree:
         self._leaves_at = leaves_at
         self._ends = ends
         self._leaf_home = leaf_home
-        self._parent = parent
         self._dim = sum(self.degree(v) - 3 for v in self.vertices)
 
     @property
@@ -223,23 +216,24 @@ class StableTree:
     def leaf_path(self, a: int, b: int) -> tuple[list[int], list[Split]]:
         """Vertices and internal edges on the walk from leaf a's vertex to leaf b's.
 
-        edges[i] joins vertices[i] and vertices[i+1].
+        edges[i] joins vertices[i] and vertices[i+1].  Every vertex but 0
+        lists the edge toward vertex 0 first, so both walks climb by it.
         """
         va, vb = self.leaf_vertex(a), self.leaf_vertex(b)
         up, up_edges = [va], []
         v = va
-        while self._parent[v] is not None:
-            p, e = self._parent[v]
-            up.append(p)
+        while v:
+            e = self._edges_at[v][0]
+            v = self._ends[e][0]
+            up.append(v)
             up_edges.append(e)
-            v = p
         where = {v: i for i, v in enumerate(up)}
         down = []
         v = vb
         while v not in where:
-            p, e = self._parent[v]
+            e = self._edges_at[v][0]
             down.append((v, e))
-            v = p
+            v = self._ends[e][0]
         i = where[v]
         vertices = up[: i + 1] + [w for w, _ in reversed(down)]
         edges = up_edges[:i] + [e for _, e in reversed(down)]
@@ -293,76 +287,56 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     the tree.  With no splits the result is a single internal vertex
     carrying every leaf.
 
-    Raises IncompatibleSplits naming a failing pair when the system is not
-    pairwise compatible.
+    One pass places the blocks in decreasing size, while ``owner`` maps
+    each label to the smallest block placed so far that contains it, or to
+    the root.  Each placed block is at least as large as the current one,
+    so in a laminar family it either contains the current block or misses
+    it; the smallest one containing it owns all of its labels and is its
+    parent.  Two owners among its labels expose a crossing pair, and at the
+    end a label's owner is where its leaf hangs.  A depth-first walk,
+    children by smallest label, numbers the vertices.
+
+    Raises IncompatibleSplits naming a crossing pair of the given splits
+    when the system is not pairwise compatible.
     """
     ordered = ordered_splits(set(splits))
     for s in ordered:
         if s.ground != ground:
             raise GroundMismatch(f"split {s} lives on {s.ground.labels}, not {ground.labels}")
-    full = ground.full_mask
-    for s, t in itertools.combinations(ordered, 2):
-        if not _masks_compatible(s.block_mask, t.block_mask, full):
-            raise IncompatibleSplits(s, t)
 
-    # parent block = smallest block strictly containing this one
+    # blocks are named by their index in `ordered`; index k is the root
     k = len(ordered)
-    parent_idx: list[int | None] = [None] * k
-    for i, s in enumerate(ordered):
-        best = None
-        for j, t in enumerate(ordered):
-            if i == j or s.block_mask == t.block_mask:
-                continue
-            if s.block_mask & ~t.block_mask == 0:
-                if best is None or t.block_mask.bit_count() < ordered[best].block_mask.bit_count():
-                    best = j
-        parent_idx[i] = best
+    owner = dict.fromkeys(ground.labels, k)
+    kids: list[list[int]] = [[] for _ in range(k + 1)]
+    for i in sorted(range(k), key=lambda i: -ordered[i].block_mask.bit_count()):
+        mask = ordered[i].block_mask
+        labels = ground.labels_of(mask)
+        owners = set(map(owner.__getitem__, labels))
+        if len(owners) > 1:
+            # at most one owner contains the block; any other meets it
+            # without containing it, and is no smaller, so it crosses it
+            crossing = next(j for j in owners if j < k and mask & ~ordered[j].block_mask)
+            raise IncompatibleSplits(ordered[crossing], ordered[i])
+        kids[owners.pop()].append(i)
+        owner.update(zip(labels, itertools.repeat(i)))
 
-    kids: dict[int | None, list[int]] = {None: []}
-    for i in range(k):
-        kids.setdefault(i, [])
-        kids.setdefault(parent_idx[i], []).append(i)
-
-    # depth-first vertex numbering; `ordered` is lexicographic by block, so
-    # sibling lists already come sorted by smallest contained label
-    vid_of: dict[int, int] = {}
-    next_vid = 1
-    stack = list(reversed(kids[None]))
-    while stack:
-        i = stack.pop()
-        vid_of[i] = next_vid
-        next_vid += 1
-        stack.extend(reversed(kids[i]))
-
-    nv = k + 1
-    edges_at: list[list[Split]] = [[] for _ in range(nv)]
-    leaves_at: list[list[int]] = [[] for _ in range(nv)]
+    # each vertex lists the edge toward the root first, then its children's
+    vid = [0] * (k + 1)
+    edges_at: list[list[Split]] = [[]]
     ends: dict[Split, tuple[int, int]] = {}
-    parent: list[tuple[int, Split] | None] = [None] * nv
+    stack = [(i, 0) for i in sorted(kids[k], reverse=True)]
+    while stack:
+        i, pv = stack.pop()
+        vid[i] = len(edges_at)
+        ends[ordered[i]] = (pv, vid[i])
+        edges_at[pv].append(ordered[i])
+        edges_at.append([ordered[i]])
+        stack.extend((j, vid[i]) for j in sorted(kids[i], reverse=True))
 
-    for i, s in enumerate(ordered):
-        pv = 0 if parent_idx[i] is None else vid_of[parent_idx[i]]
-        cv = vid_of[i]
-        ends[s] = (pv, cv)
-        parent[cv] = (pv, s)
-
-    for i, s in enumerate(ordered):
-        cv = vid_of[i]
-        edges_at[cv].append(s)  # edge toward the root comes first
-        for j in kids[i]:
-            edges_at[cv].append(ordered[j])
-        child_union = 0
-        for j in kids[i]:
-            child_union |= ordered[j].block_mask
-        leaves_at[cv] = list(ground.labels_of(s.block_mask & ~child_union))
-
-    top_union = 0
-    for j in kids[None]:
-        edges_at[0].append(ordered[j])
-        top_union |= ordered[j].block_mask
-    leaves_at[0] = list(ground.labels_of(full & ~top_union))
-
-    leaf_home = {lab: v for v in range(nv) for lab in leaves_at[v]}
+    leaves_at: list[list[int]] = [[] for _ in edges_at]
+    leaf_home = {lab: vid[i] for lab, i in owner.items()}
+    for lab, v in leaf_home.items():
+        leaves_at[v].append(lab)
     tree = StableTree(
         ground,
         ordered,
@@ -370,7 +344,6 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
         tuple(tuple(l) for l in leaves_at),
         ends,
         leaf_home,
-        parent,
     )
     assert all(tree.degree(v) >= 3 for v in tree.vertices)
     return tree

@@ -114,6 +114,13 @@ class TestStringEquation:
         with pytest.raises(DegreeMismatch):
             string_eq_psi_integral(6, {1: 1})
 
+    def test_one_point_carries_everything_at_600_points(self):
+        # 597 forgetting steps in a row, past the default recursion limit
+        assert string_eq_psi_integral(600, {1: 597}) == 1
+
+    def test_two_exponent_classes_at_600_points(self):
+        assert string_eq_psi_integral(600, {1: 2, 2: 595}) == multinomial(597, (2, 595))
+
 
 class TestFlagCertify:
     def test_four_points(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from m0nbar.errors import (
     UnstableSplit,
 )
 from m0nbar.intersect import compatible
+from m0nbar.oracle import random_stable_tree
 from m0nbar.trees import (
     MarkedSet,
     Split,
@@ -84,6 +86,10 @@ class TestMarkedSet:
     def test_mask_round_trip(self):
         mask = G5.mask_of((2, 4))
         assert G5.labels_of(mask) == (2, 4)
+        sparse = MarkedSet((3, 7, 10, 12))
+        assert sparse.labels_of(sparse.mask_of((7, 12))) == (7, 12)
+        assert sparse.labels_of(0) == ()
+        assert sparse.labels_of(sparse.full_mask) == (3, 7, 10, 12)
 
 
 class TestReconstruction:
@@ -117,8 +123,38 @@ class TestReconstruction:
                 if compatible(s, t):
                     tree_from_splits(ground, (s, t))
                 else:
-                    with pytest.raises(IncompatibleSplits):
+                    with pytest.raises(IncompatibleSplits) as raised:
                         tree_from_splits(ground, (s, t))
+                    named = (raised.value.first, raised.value.second)
+                    assert set(named) == {s, t} and not compatible(*named)
+
+    def test_named_pair_crosses_in_large_systems(self):
+        # a stable tree's splits plus one split {x, y} that crosses an edge:
+        # x inside the edge's block, y outside it and not the smallest label
+        rng = random.Random(4)
+        for n in range(8, 41):
+            t = random_stable_tree(n, rng)
+            if not t.edges:
+                continue
+            block = rng.choice(t.edges).block
+            outside = sorted(set(t.ground.labels[1:]) - set(block))
+            crossing = make_split(t.ground, {rng.choice(block), rng.choice(outside)})
+            splits = [*t.edges, crossing]
+            rng.shuffle(splits)
+            with pytest.raises(IncompatibleSplits) as raised:
+                tree_from_splits(t.ground, splits)
+            first, second = raised.value.first, raised.value.second
+            assert first in splits and second in splits and not compatible(first, second)
+
+    def test_interleaved_disjoint_blocks(self):
+        # by lowest label {3,5} falls between {2,4,6} and {4,6}, yet {4,6}
+        # hangs inside {2,4,6}, not beside {3,5}
+        ground = MarkedSet.range(7)
+        outer, inner, other = (make_split(ground, s) for s in ({2, 4, 6}, {4, 6}, {3, 5}))
+        t = tree_from_splits(ground, (inner, other, outer))
+        assert t.edge_ends(outer) == (0, 1)
+        assert t.edge_ends(inner) == (1, 2)
+        assert t.edge_ends(other) == (0, 3)
 
     def test_edges_hold_the_splits_in_canonical_order(self, nine_point_tree):
         assert [str(e) for e in nine_point_tree.edges] == [
@@ -151,6 +187,17 @@ class TestSplitOfEdge:
             for t in enumerate_stable_trees(n):
                 for e in t.splits:
                     assert split_of_edge(t, e) == e
+
+    def test_round_trip_on_random_trees(self):
+        rng = random.Random(5)
+        for n in range(4, 61):
+            t = random_stable_tree(n, rng)
+            for e in t.edges:
+                assert split_of_edge(t, e) == e
+                _, child = t.edge_ends(e)
+                assert t.edges_at(child)[0] == e
+                for f in t.edges_at(child)[1:]:
+                    assert f.block_mask & ~e.block_mask == 0
 
     def test_foreign_split_is_not_an_edge(self, nine_point_tree):
         with pytest.raises(NotInternalEdge):
