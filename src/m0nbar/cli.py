@@ -58,6 +58,8 @@ from .trees import MarkedSet, Split, enumerate_stable_trees, make_split, tree_fr
 from .weights import EvalResult, balance, evaluate, evaluate_ratio
 
 _NAT = re.compile(r"[0-9]+")
+_LABELS = re.compile(r"[0-9]+(?:,[0-9]+)*")
+_SEPARATOR = re.compile(r"\s*(\*)?\s*")
 
 _CHECK_GUARDS = {"expansion": 8, "string": 10, "flag": FLAG_LIMIT}
 _FLAG_SAMPLE = 100_000
@@ -75,21 +77,17 @@ class Expression:
 def parse(text: str, n: int) -> Expression:
     """Parse an expression against the grammar above.
 
-    Divisors are canonicalized immediately, so two spellings of the same
-    divisor compare equal.  Raises ParseError with a position on grammar
-    violations, LabelOutOfRange for labels outside 1..n, and UnstableSplit
-    for splits with a side smaller than two.
+    Each label block is one regex match, converted by ``str.split`` and
+    ``int``.  Divisors are canonicalized immediately, so two spellings of
+    the same divisor compare equal.  Raises ParseError with a position on
+    grammar violations, LabelOutOfRange for labels outside 1..n, and
+    UnstableSplit for splits with a side smaller than two.
     """
     ground = MarkedSet.range(n)
     size = len(text)
     factors: list[tuple[str, object, int]] = []
 
-    def skip_ws(p: int) -> int:
-        while p < size and text[p].isspace():
-            p += 1
-        return p
-
-    def read_nat(p: int, what: str) -> tuple[int, int]:
+    def nat(p: int, what: str) -> tuple[int, int]:
         m = _NAT.match(text, p)
         if not m:
             raise ParseError(p, f"expected {what}")
@@ -98,70 +96,66 @@ def parse(text: str, n: int) -> Expression:
         except ValueError:  # past sys.get_int_max_str_digits()
             raise ParseError(p, f"{what} has too many digits") from None
 
-    def read_block(p: int) -> tuple[list[int], int]:
-        if p >= size or text[p] != "{":
+    def block(p: int) -> tuple[list[int], int]:
+        if not text.startswith("{", p):
             raise ParseError(p, "expected '{'")
-        start = p
-        p += 1
-        labels = []
-        lab, p = read_nat(p, "a label")
-        labels.append(lab)
-        while p < size and text[p] == ",":
-            lab, p = read_nat(p + 1, "a label")
-            labels.append(lab)
-        if p >= size or text[p] != "}":
-            raise ParseError(p, "expected '}' or ','")
+        m = _LABELS.match(text, p + 1)
+        if not m:
+            raise ParseError(p + 1, "expected a label")
+        digits = m.group().split(",")
+        try:
+            labels = list(map(int, digits))
+        except ValueError:
+            # every label before the first long one is shorter, so the long
+            # one's text first occurs where it is written
+            for lab in digits:
+                nat(text.index(lab, p), "a label")
+            raise
+        q = m.end()
+        if text.startswith(",", q):
+            raise ParseError(q + 1, "expected a label")
+        if not text.startswith("}", q):
+            raise ParseError(q, "expected '}' or ','")
         if len(set(labels)) != len(labels):
-            raise ParseError(start, "duplicate label in block")
-        for lab in labels:
-            if not 1 <= lab <= n:
-                raise LabelOutOfRange(f"label {lab} outside 1..{n}")
-        return labels, p + 1
+            raise ParseError(p, "duplicate label in block")
+        if min(labels) < 1 or max(labels) > n:
+            lab = next(lab for lab in labels if not 1 <= lab <= n)
+            raise LabelOutOfRange(f"label {lab} outside 1..{n}")
+        return labels, q + 1
 
-    def read_exponent(p: int) -> tuple[int, int]:
-        if p < size and text[p] == "^":
-            return read_nat(p + 1, "an exponent")
-        return 1, p
-
-    def read_factor(p: int) -> int:
-        if text.startswith("psi", p):
-            label, q = read_nat(p + 3, "a marked-point label after 'psi'")
-            if not 1 <= label <= n:
-                raise LabelOutOfRange(f"label {label} outside 1..{n}")
-            exponent, q = read_exponent(q)
-            factors.append(("psi", label, exponent))
-            return q
-        if text[p] == "D":
-            side, q = read_block(p + 1)
-            if q < size and text[q] == "|":
-                other_start = q + 1
-                other, q = read_block(other_start)
-                if set(side) & set(other) or set(side) | set(other) != set(ground.labels):
-                    raise ParseError(
-                        other_start, "second block must be the exact complement of the first"
-                    )
-            exponent, q = read_exponent(q)
-            factors.append(("divisor", make_split(ground, side), exponent))
-            return q
-        raise ParseError(p, "expected 'D{...}' or 'psiK'")
-
-    pos = skip_ws(0)
+    pos = size - len(text.lstrip())
     if pos == size:
         raise ParseError(pos, "expected a factor")
     while True:
-        pos = read_factor(pos)
-        after = skip_ws(pos)
-        if after == size:
-            break
-        if text[after] == "*":
-            nxt = skip_ws(after + 1)
-            if nxt == size:
-                raise ParseError(nxt, "expected a factor after '*'")
-            pos = nxt
-        elif after > pos:
-            pos = after
+        if text.startswith("psi", pos):
+            kind = "psi"
+            payload, pos = nat(pos + 3, "a marked-point label after 'psi'")
+            if not 1 <= payload <= n:
+                raise LabelOutOfRange(f"label {payload} outside 1..{n}")
+        elif text[pos] == "D":
+            kind = "divisor"
+            payload, pos = block(pos + 1)
+            if text.startswith("|", pos):
+                other, q = block(pos + 1)
+                if tuple(sorted(payload + other)) != ground.labels:
+                    raise ParseError(
+                        pos + 1, "second block must be the exact complement of the first"
+                    )
+                pos = q
         else:
-            raise ParseError(after, "expected '*' or whitespace between factors")
+            raise ParseError(pos, "expected 'D{...}' or 'psiK'")
+        exponent = 1
+        if text.startswith("^", pos):
+            exponent, pos = nat(pos + 1, "an exponent")
+        factors.append((kind, payload if kind == "psi" else make_split(ground, payload), exponent))
+        m = _SEPARATOR.match(text, pos)
+        if m.end() == size:
+            if m.group(1):
+                raise ParseError(size, "expected a factor after '*'")
+            break
+        if m.end() == pos:
+            raise ParseError(pos, "expected '*' or whitespace between factors")
+        pos = m.end()
     return Expression(n, tuple(factors))
 
 
@@ -324,7 +318,9 @@ def _coloring_steps(expr: Expression) -> list[str]:
             divisors.append(payload)
     if not divisors:
         return []
-    steps = ["assembling the stratum one divisor at a time:", f"  start with {divisors[0]}"]
+    # every edge of the growing tree, and every witness, is one of the divisors
+    name = {d: str(d) for d in divisors}
+    steps = ["assembling the stratum one divisor at a time:", f"  start with {name[divisors[0]]}"]
     tree = tree_from_splits(MarkedSet.range(expr.n), divisors[:1])
     for d in divisors[1:]:
         try:
@@ -332,14 +328,15 @@ def _coloring_steps(expr: Expression) -> list[str]:
         except EdgeConditionFails as fail:
             # the strata do not meet, so the report's verdict is "empty"
             steps.append(
-                f"  insert {d}: incompatible with edge {fail.witness} -- empty intersection"
+                f"  insert {name[d]}: incompatible with edge {name[fail.witness]} "
+                "-- empty intersection"
             )
             break
-        colored = ", ".join(f"{e}={coloring.edge_colors[e]}" for e in tree.edges)
+        colored = ", ".join(f"{name[e]}={coloring.edge_colors[e]}" for e in tree.edges)
         blues = ",".join(
             str(lab) for lab in tree.ground.labels if coloring.leaf_colors[lab] == "blue"
         )
-        steps.append(f"  insert {d}: edge colors [{colored}]")
+        steps.append(f"  insert {name[d]}: edge colors [{colored}]")
         steps.append(f"    blue leaves {{{blues}}}, split vertex v{coloring.split_vertex}")
         tree = meet_divisor(tree, d)
     return steps

@@ -107,7 +107,6 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     if tree.ground != divisor.ground:
         raise GroundMismatch("tree and divisor live on different ground sets")
     x = divisor.block_mask
-    full = tree.ground.full_mask
     edge_colors: dict[Split, str] = {}
     for e in tree.edges:
         b = e.block_mask
@@ -115,7 +114,7 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
             raise EdgeConditionFails(e)
         if b == x:
             edge_colors[e] = RED
-        elif b & ~x & full == 0 or (full ^ b) & ~x & full == 0:
+        elif b & ~x == 0:
             edge_colors[e] = BLUE
         else:
             edge_colors[e] = RED

@@ -106,6 +106,42 @@ class TestParse:
             assert parse(render(expr), n) == expr
 
 
+@pytest.mark.parametrize(
+    "text, n, error, position, message",
+    [
+        ("", 5, ParseError, 0, "expected a factor"),
+        ("   ", 5, ParseError, 3, "expected a factor"),
+        ("D(1,2)", 5, ParseError, 1, "expected '{'"),
+        ("D{,2}", 5, ParseError, 2, "expected a label"),
+        ("D{1,}", 5, ParseError, 4, "expected a label"),
+        ("D{1,2", 5, ParseError, 5, "expected '}' or ','"),
+        ("D{1x}", 5, ParseError, 3, "expected '}' or ','"),
+        ("D{1,1,9}", 5, ParseError, 1, "duplicate label in block"),
+        ("D{1,9}^x", 5, LabelOutOfRange, None, "label 9 outside 1..5"),
+        ("D{1}^x", 5, ParseError, 5, "expected an exponent"),
+        ("D{1,2}|3", 5, ParseError, 7, "expected '{'"),
+        ("D{1,2}|{3,4}", 5, ParseError, 7, "second block must be the exact complement of the first"),
+        ("D{1,2}|{2,4,5}", 5, ParseError, 7, "second block must be the exact complement of the first"),
+        ("psi", 5, ParseError, 3, "expected a marked-point label after 'psi'"),
+        ("D{1,2}D{4,5}", 5, ParseError, 6, "expected '*' or whitespace between factors"),
+        ("D{1,2} *", 5, ParseError, 8, "expected a factor after '*'"),
+        # literals past the int() digit limit, after and before a missing '}'
+        pytest.param("D{1,2," + "1" * 4400 + "}", 6, ParseError, 6,
+                     "a label has too many digits", id="long-last-label"),
+        pytest.param("D{" + "1" * 4400 + ",2", 6, ParseError, 2,
+                     "a label has too many digits", id="long-label-unclosed"),
+    ],
+)
+def test_parse_diagnostics(text, n, error, position, message):
+    # the class, position and message of each check, in the order they fire
+    with pytest.raises(error) as info:
+        parse(text, n)
+    if position is None:
+        assert str(info.value) == message
+    else:
+        assert (info.value.position, info.value.message) == (position, message)
+
+
 class TestEval:
     def test_example_text(self, capsys):
         assert main(["eval", "--n", "15", EXAMPLE]) == 0
@@ -353,3 +389,29 @@ def test_grammar_fuzz_through_main(case):
             assert out.getvalue() and not err.getvalue()
         else:
             assert err.getvalue().startswith("error: ")
+
+
+# grammar characters, ASCII digits, whitespace that str.isspace() accepts
+# (ASCII, Latin-1, Unicode spaces and separators), and anything at all
+_ANY_CHAR = (
+    st.sampled_from("D{}|^,*psi0123456789 \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2003\u2028\u3000")
+    | st.characters()
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(3, 9), st.text(_ANY_CHAR, max_size=30))
+def test_arbitrary_text_fuzz(n, text):
+    try:
+        parse(text, n)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+    except (LabelOutOfRange, UnstableSplit):
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # "--" keeps a text that starts with '-' from reading as an option
+        code = main(["eval", "--n", str(n), "--", text])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ")

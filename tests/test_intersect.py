@@ -102,6 +102,16 @@ class TestColoring:
                         colors |= {coloring.leaf_colors[lab] for lab in leaves}
                         assert len(colors) == 1
 
+    def test_blue_edges_lie_strictly_inside_the_block(self):
+        for t in enumerate_stable_trees(6):
+            for d in all_divisors(6):
+                if not all(compatible(e, d) for e in t.edges):
+                    continue
+                coloring = color_for_divisor(t, d)
+                for e in t.edges:
+                    inside = set(e.block) < set(d.block)
+                    assert coloring.edge_colors[e] == (BLUE if inside else RED)
+
     def test_split_vertex_is_path_independent(self):
         # recompute the vertex from every blue/red leaf pair
         for t in enumerate_stable_trees(5):
