@@ -462,6 +462,10 @@ def _cmd_check(args) -> int:
         rows += _run_string_suite(args.n_max)
     if args.suite in ("flag", "all"):
         rows += _run_flag_suite(args.n_max, args.seed)
+    if not rows:
+        print(f"error: --n-max {args.n_max} leaves no n to check in suite '{args.suite}'",
+              file=sys.stderr)
+        return 2
     ok = all(r["failures"] == 0 for r in rows)
     if args.format == "json":
         print(json.dumps({"suite": args.suite, "n_max": args.n_max, "seed": args.seed,

@@ -26,7 +26,7 @@ from .trees import (
     MarkedSet,
     Split,
     StableTree,
-    make_split,
+    splits_of_links,
     tree_from_splits,
 )
 
@@ -162,32 +162,10 @@ def apply_coloring(coloring: Coloring) -> StableTree:
         elif c == v and coloring.edge_colors[e] == RED:
             c = fresh
         links.append((p, c))
-    leaf_at: dict[int, list[int]] = {u: [] for u in range(fresh + 1)}
-    for u in tree.vertices:
-        for lab in tree.leaves_at(u):
-            if u == v and coloring.leaf_colors[lab] == RED:
-                leaf_at[fresh].append(lab)
-            else:
-                leaf_at[u].append(lab)
     links.append((v, fresh))
-
-    neighbors: dict[int, list[tuple[int, int]]] = {u: [] for u in range(fresh + 1)}
-    for idx, (a, b) in enumerate(links):
-        neighbors[a].append((idx, b))
-        neighbors[b].append((idx, a))
-    derived = []
-    for idx, (a, b) in enumerate(links):
-        stack, seen = [b], {b}
-        side: list[int] = []
-        while stack:
-            u = stack.pop()
-            side.extend(leaf_at[u])
-            for jdx, w in neighbors[u]:
-                if jdx != idx and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        derived.append(make_split(tree.ground, side))
-    return tree_from_splits(tree.ground, derived)
+    leaf_node = {lab: tree.leaf_vertex(lab) for lab in tree.ground.labels}
+    leaf_node.update((lab, fresh) for lab in tree.leaves_at(v) if coloring.leaf_colors[lab] == RED)
+    return tree_from_splits(tree.ground, splits_of_links(tree.ground, links, leaf_node))
 
 
 def meet_divisor(tree: StableTree, divisor: Split) -> MeetResult:
@@ -201,10 +179,9 @@ def meet_divisor(tree: StableTree, divisor: Split) -> MeetResult:
         raise GroundMismatch("tree and divisor live on different ground sets")
     if divisor in tree.splits:
         return tree
-    try:
-        return tree_from_splits(tree.ground, (*tree.edges, divisor))
-    except IncompatibleSplits:
+    if not all(_masks_compatible(e.block_mask, divisor.block_mask) for e in tree.edges):
         return EMPTY
+    return tree_from_splits(tree.ground, (*tree.edges, divisor))
 
 
 def meet_all(trees: Sequence[StableTree]) -> MeetResult:

@@ -25,7 +25,7 @@ from .trees import (
     MarkedSet,
     StableTree,
     enumerate_stable_trees,
-    make_split,
+    splits_of_links,
     tree_from_splits,
 )
 
@@ -211,44 +211,25 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
     ground = MarkedSet.range(n)
     leaf_node = {1: 0, 2: 0, 3: 0}
     links: list[tuple[int, int]] = []
-    node_count = 1
     for leaf in range(4, n + 1):
-        spots: list[tuple[str, int]] = [("v", u) for u in range(node_count)]
-        spots += [("e", i) for i in range(len(links))]
-        spots += [("l", m) for m in sorted(leaf_node)]
-        kind, which = spots[rng.randrange(len(spots))]
-        if kind == "v":
-            leaf_node[leaf] = which
-        elif kind == "e":
-            a, b = links[which]
-            w = node_count
-            node_count += 1
-            links[which] = (a, w)
+        # one draw over the spots: a node, then a link, then a leaf 1..leaf-1;
+        # the links join len(links) + 1 nodes, so w is also the next node
+        w = len(links) + 1
+        spot = rng.randrange(w + len(links) + leaf - 1)
+        if spot < w:
+            leaf_node[leaf] = spot
+            continue
+        spot -= w
+        if spot < len(links):
+            a, b = links[spot]
+            links[spot] = (a, w)
             links.append((w, b))
-            leaf_node[leaf] = w
         else:
-            w = node_count
-            node_count += 1
+            which = spot - len(links) + 1
             links.append((leaf_node[which], w))
             leaf_node[which] = w
-            leaf_node[leaf] = w
-
-    adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in range(node_count)}
-    for i, (a, b) in enumerate(links):
-        adjacency[a].append((i, b))
-        adjacency[b].append((i, a))
-    splits = []
-    for i, (a, b) in enumerate(links):
-        stack, seen = [b], {b}
-        while stack:
-            u = stack.pop()
-            for j, w in adjacency[u]:
-                if j != i and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        side = [lab for lab, u in leaf_node.items() if u in seen]
-        splits.append(make_split(ground, side))
-    return tree_from_splits(ground, splits)
+        leaf_node[leaf] = w
+    return tree_from_splits(ground, splits_of_links(ground, links, leaf_node))
 
 
 def random_decorated_tree(

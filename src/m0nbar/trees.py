@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     GroundMismatch,
@@ -347,6 +347,43 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     )
     assert all(tree.degree(v) >= 3 for v in tree.vertices)
     return tree
+
+
+def splits_of_links(
+    ground: MarkedSet, links: Sequence[tuple[int, int]], leaf_node: Mapping[int, int]
+) -> list[Split]:
+    """The split each link of an abstract tree induces, in link order.
+
+    The links join the nodes 0..len(links) into a tree, and ``leaf_node``
+    maps every label to its node.  One walk from the node holding the
+    smallest label orders the nodes, and leaf masks gather bottom-up, so
+    each link's far side avoids that label: it is the canonical block.
+    A side with fewer than two labels raises UnstableSplit.
+    """
+    at: list[list[int]] = [[] for _ in range(len(links) + 1)]
+    for i, (a, b) in enumerate(links):
+        at[a].append(i)
+        at[b].append(i)
+    mask = [0] * len(at)
+    for i, lab in enumerate(ground.labels):
+        mask[leaf_node[lab]] |= 1 << i
+
+    root = leaf_node[ground.labels[0]]
+    up = [-1] * len(at)  # the link toward the root
+    order = [root]
+    for u in order:
+        for i in at[u]:
+            if i != up[u]:
+                a, b = links[i]
+                w = b if a == u else a
+                up[w] = i
+                order.append(w)
+    block = [0] * len(links)
+    for w in reversed(order[1:]):
+        a, b = links[up[w]]
+        mask[a if b == w else b] |= mask[w]
+        block[up[w]] = mask[w]
+    return [Split(ground, m) for m in block]
 
 
 def split_of_edge(tree: StableTree, edge: Split) -> Split:

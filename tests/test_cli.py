@@ -243,6 +243,15 @@ def test_error_exit_codes(argv, error, code, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n_max, suite", [("-1", "all"), ("3", "flag"), ("2", "string")])
+def test_check_with_no_n_in_range_is_an_error(n_max, suite, capsys):
+    # no suite row runs, so there is no success to report
+    assert main(["check", "--suite", suite, "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", [["eval", "--format", "json"], ["eval"], ["explain"]])
 def test_value_past_the_int_text_limit(command, capsys):
     # psi1 ... psi1997 on 2000 points is 1997!, over 5700 digits

@@ -1,5 +1,6 @@
 """The brute-force verifiers themselves."""
 
+import hashlib
 import math
 import random
 
@@ -19,6 +20,9 @@ from m0nbar.oracle import (
 )
 from m0nbar.trees import MarkedSet, make_split
 from m0nbar.weights import balance
+
+# sha256 of the seeded random_stable_tree / random_decorated_tree streams
+PINNED_STREAMS = "6eed5c07ecf2ed61b86682b630d751a21b152c37dc5a47600b8e833e6daa3517"
 
 
 class TestExpansion:
@@ -160,6 +164,22 @@ class TestGenerators:
         for _ in range(200):
             decorated = random_decorated_tree(rng.randint(3, 12), rng)
             assert decorated.weight_total == decorated.tree.dim
+
+    def test_seeded_streams_are_pinned(self):
+        # many seeded tests draw from these generators; a change to the
+        # draw sequence or to the tree built from it changes this digest
+        digest = hashlib.sha256()
+        for seed in range(50):
+            for n in (*range(3, 13), 20, 40):
+                tree = random_stable_tree(n, random.Random(seed))
+                digest.update("; ".join(map(str, tree.edges)).encode() + b"\n")
+                decorated = random_decorated_tree(n, random.Random(seed))
+                digest.update(repr((
+                    [str(e) for e in decorated.tree.edges],
+                    [(str(e), k) for e, k in decorated.edge_weight.items()],
+                    sorted(decorated.psi_weight.items()),
+                )).encode() + b"\n")
+        assert digest.hexdigest() == PINNED_STREAMS
 
     def test_composition_count(self):
         for total, slots in ((3, 4), (5, 3), (0, 4)):

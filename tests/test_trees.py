@@ -23,6 +23,7 @@ from m0nbar.trees import (
     make_split,
     ordered_splits,
     split_of_edge,
+    splits_of_links,
     tree_equal,
     tree_from_splits,
 )
@@ -183,10 +184,14 @@ class TestSplitOfEdge:
         assert split_of_edge(t, e) == e
 
     def test_round_trip_on_every_enumerated_edge(self):
-        for n in (5, 6):
+        for n in (4, 5, 6, 7):
             for t in enumerate_stable_trees(n):
                 for e in t.splits:
                     assert split_of_edge(t, e) == e
+                # the tree's own incidence, read back by one walk over its links
+                links = [t.edge_ends(e) for e in t.edges]
+                leaf_node = {lab: t.leaf_vertex(lab) for lab in t.ground.labels}
+                assert splits_of_links(t.ground, links, leaf_node) == list(t.edges)
 
     def test_round_trip_on_random_trees(self):
         rng = random.Random(5)
