@@ -255,7 +255,8 @@ def _text_output(report: _Report) -> str:
 
 def _json_output(report: _Report) -> str:
     result = report.result
-    blocks = [list(row.split.block) for row in report.edges]
+    # json writes a tuple as it writes a list, so the cached blocks go in as they are
+    blocks = [row.split.block for row in report.edges]
     payload = {
         "n": report.product.ground.n,
         "value": _digits(result.value),

@@ -25,9 +25,13 @@ class IncompatibleSplits(M0nbarError):
     """Two splits cannot coexist as edges of one stable tree."""
 
     def __init__(self, first, second):
-        super().__init__(f"incompatible splits {first} and {second}")
+        super().__init__(first, second)
         self.first = first
         self.second = second
+
+    def __str__(self):
+        # callers that treat the pair as an empty meet never read the text
+        return f"incompatible splits {self.first} and {self.second}"
 
 
 class NotInternalEdge(M0nbarError):

@@ -124,7 +124,7 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     }
 
     blue_leaf = divisor.block[0]
-    red_leaf = divisor.complement[0]
+    red_leaf = tree.ground.labels[0]  # the smallest label is never in the block
     vertices, edges = tree.leaf_path(blue_leaf, red_leaf)
     vertex = vertices[-1]  # if no internal edge is red, the red leaf's own edge is
     for i, e in enumerate(edges):

@@ -15,6 +15,7 @@ compatibility checks are single word operations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -37,7 +38,11 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 @dataclass(frozen=True)
 class MarkedSet:
-    """The ordered set of marked-point labels, canonically 1..n."""
+    """The ordered set of marked-point labels, canonically 1..n.
+
+    ``n`` is the number of labels and ``full_mask`` the mask of all of
+    them; both are stored, since every Split reads them.
+    """
 
     labels: tuple[int, ...]
 
@@ -49,7 +54,9 @@ class MarkedSet:
             raise ValueError("stability needs at least 3 marked points")
         object.__setattr__(self, "labels", ordered)
         object.__setattr__(self, "_pos", {lab: i for i, lab in enumerate(ordered)})
-        # every Split hashes its ground set, so hash the labels only once
+        object.__setattr__(self, "n", len(ordered))
+        object.__setattr__(self, "full_mask", (1 << len(ordered)) - 1)
+        # every StableTree hashes its ground set, so hash the labels only once
         object.__setattr__(self, "_hash", hash(ordered))
 
     def __hash__(self):
@@ -57,16 +64,12 @@ class MarkedSet:
 
     @classmethod
     def range(cls, n: int) -> "MarkedSet":
-        """The standard ground set {1, ..., n}."""
-        return cls(tuple(range(1, n + 1)))
+        """The standard ground set {1, ..., n}, one shared instance per n.
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        Sharing it makes every ground-set comparison between the splits of
+        one computation an identity test.
+        """
+        return _standard_ground(cls, n)
 
     def mask_of(self, labels: Iterable[int]) -> int:
         """Bitmask of a label subset; unknown labels raise LabelOutOfRange."""
@@ -86,13 +89,19 @@ class MarkedSet:
         return tuple(itertools.compress(self.labels, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
+@functools.lru_cache(maxsize=16)
+def _standard_ground(cls: type[MarkedSet], n: int) -> MarkedSet:
+    return cls(tuple(range(1, n + 1)))
+
+
 @dataclass(frozen=True)
 class Split:
     """A boundary divisor: a 2-block partition of the ground set.
 
     The stored block is the side that does not contain the smallest label,
     so every divisor has exactly one representation.  Use make_split to
-    build one from an arbitrary side.
+    build one from an arbitrary side.  The block's labels and the hash are
+    each computed at most once per instance.
     """
 
     ground: MarkedSet
@@ -108,8 +117,13 @@ class Split:
             )
         if self.block_mask & 1:
             raise ValueError("block contains the smallest label; use make_split")
+        # equal splits have equal masks, so the mask alone is a valid hash
+        self.__dict__["_hash"] = hash(self.block_mask)
 
-    @property
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
     def block(self) -> tuple[int, ...]:
         """The canonical side (never contains the smallest label)."""
         return self.ground.labels_of(self.block_mask)
@@ -131,6 +145,7 @@ def make_split(ground: MarkedSet, side: Iterable[int]) -> Split:
     smallest label.  Sides with fewer than two labels on either end raise
     UnstableSplit.
     """
+    side = tuple(side)
     mask = ground.mask_of(side)
     size = mask.bit_count()
     if not 2 <= size <= ground.n - 2:
@@ -138,8 +153,12 @@ def make_split(ground: MarkedSet, side: Iterable[int]) -> Split:
             f"a split side has {size} of {ground.n} marked points; both need >= 2"
         )
     if mask & 1:
-        mask ^= ground.full_mask
-    return Split(ground, mask)
+        return Split(ground, mask ^ ground.full_mask)
+    split = Split(ground, mask)
+    # the side is the block: fill the cache without reading the mask back
+    block = sorted(side)
+    split.__dict__["block"] = tuple(block if len(block) == size else sorted(set(block)))
+    return split
 
 
 def ordered_splits(splits: Iterable[Split]) -> tuple[Split, ...]:
@@ -310,7 +329,7 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     kids: list[list[int]] = [[] for _ in range(k + 1)]
     for i in sorted(range(k), key=lambda i: -ordered[i].block_mask.bit_count()):
         mask = ordered[i].block_mask
-        labels = ground.labels_of(mask)
+        labels = ordered[i].block
         owners = set(map(owner.__getitem__, labels))
         if len(owners) > 1:
             # at most one owner contains the block; any other meets it
@@ -417,10 +436,16 @@ def enumerate_stable_trees(n: int, codim: int | None = None) -> Iterator[StableT
 
     def generate():
         space = ground.full_mask & ~1
+        # one Split per block, shared by every tree, so each block's labels
+        # are read once
+        splits: dict[int, Split] = {}
         for family in _laminar_families(space):
             if codim is not None and len(family) != codim:
                 continue
-            yield tree_from_splits(ground, tuple(Split(ground, m) for m in family))
+            for m in family:
+                if m not in splits:
+                    splits[m] = Split(ground, m)
+            yield tree_from_splits(ground, tuple(map(splits.__getitem__, family)))
 
     return generate()
 

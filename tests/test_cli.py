@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -13,9 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m0nbar.cli import build_parser, main, parse, render, to_boundary_product
+from m0nbar.cli import (
+    Expression,
+    _json_output,
+    _report,
+    build_parser,
+    main,
+    parse,
+    render,
+    to_boundary_product,
+)
 from m0nbar.errors import DegreeMismatch, LabelOutOfRange, ParseError, TooLarge, UnstableSplit
-from m0nbar.trees import MarkedSet, make_split
+from m0nbar.oracle import random_stable_tree
+from m0nbar.trees import MarkedSet, Split, make_split, tree_from_splits
 
 EXAMPLE = "D{1,2}^2 D{3,4,5}^3 D{1,2,3,4,5,6,7,8}^4 D{11,12} D{13,14,15}^2"
 PSI_EXAMPLE = "psi4 psi7^2 D{1,2}^2 D{3,4,5} D{1,2,3,4,5,6,7,8}^3 D{11,12} D{13,14,15}^2"
@@ -241,6 +252,33 @@ def test_error_exit_codes(argv, error, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("built_by", ["mask", "make_split"])
+def test_json_eval_reads_each_block_at_most_once(built_by, monkeypatch):
+    # a split built from its mask computes its block once; make_split fills
+    # it from the side it was given, so the whole chain never reads a mask
+    tree = random_stable_tree(2000, random.Random(0))
+    ground = tree.ground
+    if built_by == "mask":
+        splits = [Split(ground, e.block_mask) for e in tree.edges]
+    else:
+        splits = [make_split(ground, ground.labels_of(e.block_mask)) for e in tree.edges]
+    factors = tuple(("divisor", s, 1) for s in splits) + (("psi", 1, ground.n - 3 - len(splits)),)
+    calls = []
+    labels_of = MarkedSet.labels_of
+
+    def counted(self, mask):
+        calls.append(mask)
+        return labels_of(self, mask)
+
+    monkeypatch.setattr(MarkedSet, "labels_of", counted)
+    assert tree_from_splits(ground, splits) == tree
+    out = json.loads(_json_output(_report(Expression(ground.n, factors))))
+    assert len(calls) <= (len(splits) if built_by == "mask" else 0)
+    monkeypatch.undo()
+    assert out["stratum"]["splits"] == [list(ground.labels_of(e.block_mask)) for e in tree.edges]
+
 
 
 @pytest.mark.parametrize("n_max, suite", [("-1", "all"), ("3", "flag"), ("2", "string")])

@@ -1,5 +1,8 @@
 """Exact factorials and multinomial coefficients."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,3 +81,28 @@ def test_multinomial_invariant_under_part_permutation(parts):
 def test_multinomial_ignores_zero_parts(parts):
     top = sum(parts)
     assert multinomial(top, parts + [0]) == multinomial(top, parts)
+
+
+def _running_comb(top, parts):
+    # the product of binomials that multinomial used to compute
+    out, remaining = 1, top
+    for p in parts:
+        out *= math.comb(remaining, p)
+        remaining -= p
+    return out
+
+
+def test_multinomial_matches_running_binomials_on_random_parts():
+    rng = random.Random(7)
+    shapes = [
+        lambda k: [k - 1, 1],  # an edge factor
+        lambda k: [1] * k,  # a vertex carrying k psi classes of weight 1
+        lambda k: [k],
+        lambda k: [k - 3, 1, 1, 1, 0],
+        lambda k: [rng.randrange(4) for _ in range(rng.randrange(1, 8))],
+        lambda k: [rng.randrange(k) for _ in range(rng.randrange(1, 6))],
+    ]
+    for _ in range(2000):
+        parts = rng.choice(shapes)(rng.randrange(3, 300))
+        rng.shuffle(parts)
+        assert multinomial(sum(parts), parts) == _running_comb(sum(parts), parts)

@@ -71,6 +71,33 @@ class TestSplit:
         for s in all_splits(ground):
             assert make_split(ground, s.block) == s
 
+    def test_cached_block_matches_the_mask(self):
+        # unsorted sides, repeated labels, and either side of the split
+        ground = MarkedSet.range(8)
+        for side in ([5, 3, 7], (4, 2, 4, 2, 6), [8, 1, 3], {2, 8, 5, 1}, iter([7, 6, 6])):
+            s = make_split(ground, side)
+            assert s.block == ground.labels_of(s.block_mask)
+            assert s.block is s.block
+            fresh = Split(ground, s.block_mask)
+            assert fresh.block == s.block
+
+    def test_equal_splits_hash_equal(self):
+        ground = MarkedSet.range(7)
+        for side in ({1, 2}, {2, 5, 6}, {1, 3, 4, 7}):
+            a = make_split(ground, side)
+            b = make_split(ground, set(ground.labels) - side)
+            c = Split(ground, a.block_mask)
+            assert a == b == c
+            assert hash(a) == hash(b) == hash(c)
+            assert len({a, b, c}) == 1
+
+    def test_same_mask_on_other_ground_differs(self):
+        mask = G5.mask_of((2, 3))
+        other = MarkedSet((1, 2, 3, 4, 9))
+        assert Split(G5, mask) != Split(other, mask)
+        assert Split(G5, mask) != Split(MarkedSet.range(6), mask)
+        assert len({Split(G5, mask), Split(other, mask)}) == 2
+
 
 class TestMarkedSet:
     def test_labels_are_sorted_and_distinct(self):
@@ -79,6 +106,11 @@ class TestMarkedSet:
         assert hash(MarkedSet((3, 1, 2))) == hash(MarkedSet.range(3))
         with pytest.raises(ValueError):
             MarkedSet((1, 1, 2))
+
+    def test_standard_ground_is_shared_per_n(self):
+        assert MarkedSet.range(9) is MarkedSet.range(9)
+        assert MarkedSet.range(9) is not MarkedSet.range(10)
+        assert MarkedSet.range(9) == MarkedSet(tuple(range(9, 0, -1)))
 
     def test_needs_three_labels(self):
         with pytest.raises(ValueError):
@@ -111,6 +143,13 @@ class TestReconstruction:
     def test_incompatible_pair_is_rejected(self):
         with pytest.raises(IncompatibleSplits):
             tree_from_splits(G5, (make_split(G5, {1, 2}), make_split(G5, {1, 3})))
+
+    def test_incompatible_message_names_both_splits(self):
+        first, second = make_split(G5, {2, 3}), make_split(G5, {3, 4})
+        with pytest.raises(IncompatibleSplits) as raised:
+            tree_from_splits(G5, (second, first))
+        assert (raised.value.first, raised.value.second) == (first, second)
+        assert str(raised.value) == "incompatible splits 2,3|1,4,5 and 3,4|1,2,5"
 
     def test_ground_mismatch(self):
         with pytest.raises(GroundMismatch):
