@@ -12,7 +12,7 @@ is reported through the EMPTY sentinel rather than an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import (
@@ -250,12 +250,15 @@ class DecoratedTree:
 
     vertex_dim(v) is degree(v) - 3, the dimension of the moduli factor the
     vertex contributes.  Edge weights count repeated divisor factors beyond
-    the first; psi weights sit on leaves.
+    the first, and ``edge_weight`` lists every edge in ``tree.edges`` order;
+    psi weights sit on leaves, and ``vertex_psi`` holds each vertex's
+    (leaf, weight) pairs in vertex order, built once.
     """
 
     tree: StableTree
     edge_weight: dict[Split, int]
     psi_weight: dict[int, int]
+    vertex_psi: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = {e: 0 for e in self.tree.edges}
@@ -267,25 +270,27 @@ class DecoratedTree:
             normalized[e] = k
         self.edge_weight = normalized
         psi: dict[int, int] = {}
+        # labels ascend, and so do each vertex's leaves
+        at: dict[int, list[tuple[int, int]]] = {}
         for lab in sorted(self.psi_weight):
             k = self.psi_weight[lab]
-            self.tree.leaf_vertex(lab)
+            v = self.tree.leaf_vertex(lab)
             if k < 0:
                 raise ValueError("psi weights must be >= 0")
             if k:
                 psi[lab] = k
+                at.setdefault(v, []).append((lab, k))
         self.psi_weight = psi
+        self.vertex_psi = [()] * self.tree.num_vertices
+        for v, pairs in at.items():
+            self.vertex_psi[v] = tuple(pairs)
 
     def vertex_dim(self, v: int) -> int:
-        return self.tree.degree(v) - 3
+        return self.tree.dims[v]
 
     def psi_at(self, v: int) -> tuple[tuple[int, int], ...]:
         """(leaf, weight) pairs for the psi-carrying leaves at a vertex."""
-        return tuple(
-            (lab, self.psi_weight[lab])
-            for lab in self.tree.leaves_at(v)
-            if lab in self.psi_weight
-        )
+        return self.vertex_psi[v]
 
     @property
     def weight_total(self) -> int:

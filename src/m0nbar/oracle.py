@@ -55,31 +55,30 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[dict, int]]
             f"total edge weight {k_total} exceeds the expansion guard {EXPANSION_BUDGET}"
         )
     edges = tree.edges
-    psi_load = {v: sum(w for _, w in decorated.psi_at(v)) for v in tree.vertices}
+    ends = list(tree.ends)
+    weights = list(decorated.edge_weight.values())
+    psi = [[w for _, w in pairs] for pairs in decorated.vertex_psi]
+    psi_load = list(map(sum, psi))
+    dims = list(tree.dims)
     out = []
-    for combo in itertools.product(*(range(decorated.edge_weight[e] + 1) for e in edges)):
-        load = dict(psi_load)
-        for e, a in zip(edges, combo):
-            p, c = tree.edge_ends(e)
+    for combo in itertools.product(*(range(k + 1) for k in weights)):
+        load = psi_load.copy()
+        for (p, c), k, a in zip(ends, weights, combo):
             load[p] += a
-            load[c] += decorated.edge_weight[e] - a
-        if any(load[v] != decorated.vertex_dim(v) for v in tree.vertices):
+            load[c] += k - a
+        if load != dims:
             continue
         halves = {}
-        for e, a in zip(edges, combo):
-            p, c = tree.edge_ends(e)
-            halves[(p, e)] = a
-            halves[(c, e)] = decorated.edge_weight[e] - a
+        parts = [[] for _ in dims]
         contribution = 1
-        for e in edges:
-            p, c = tree.edge_ends(e)
-            contribution *= multinomial(
-                decorated.edge_weight[e], (halves[(p, e)], halves[(c, e)])
-            )
-        for v in tree.vertices:
-            parts = [halves[(v, e)] for e in tree.edges_at(v)]
-            parts += [w for _, w in decorated.psi_at(v)]
-            contribution *= multinomial(decorated.vertex_dim(v), parts)
+        for e, (p, c), k, a in zip(edges, ends, weights, combo):
+            halves[(p, e)] = a
+            halves[(c, e)] = k - a
+            parts[p].append(a)
+            parts[c].append(k - a)
+            contribution *= multinomial(k, (a, k - a))
+        for dim, halves_here, psi_here in zip(dims, parts, psi):
+            contribution *= multinomial(dim, halves_here + psi_here)
         out.append((halves, contribution))
     return out
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -161,9 +162,12 @@ def make_split(ground: MarkedSet, side: Iterable[int]) -> Split:
     return split
 
 
+_BLOCK = operator.attrgetter("block")
+
+
 def ordered_splits(splits: Iterable[Split]) -> tuple[Split, ...]:
     """Splits in the canonical display order (lexicographic by block)."""
-    return tuple(sorted(splits, key=lambda s: s.block))
+    return tuple(sorted(splits, key=_BLOCK))
 
 
 class StableTree:
@@ -176,22 +180,29 @@ class StableTree:
     them in the canonical order (lexicographic by block), and ``splits`` is
     the same edges as a set.
 
+    The per-edge and per-vertex facts are tables computed once: ``ends``
+    lists each edge's (parent, child) in ``edges`` order, ``dims`` each
+    vertex's dimension (degree - 3) and ``vertex_leaves`` each vertex's
+    leaves, both in vertex order, so consumers zip them with ``edges`` and
+    ``vertices`` instead of looking edges up.
+
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
-    __slots__ = ("ground", "edges", "splits", "_edges_at", "_leaves_at", "_ends",
+    __slots__ = ("ground", "edges", "splits", "dims", "_edges_at", "_leaves_at", "_ends",
                  "_leaf_home", "_dim")
 
-    def __init__(self, ground, edges, edges_at, leaves_at, ends, leaf_home):
+    def __init__(self, ground, edges, edges_at, leaves_at, ends, leaf_home, dims):
         self.ground = ground
         self.edges = edges
         self.splits = frozenset(edges)
+        self.dims = dims
         self._edges_at = edges_at
         self._leaves_at = leaves_at
-        self._ends = ends
+        self._ends = ends  # inserted in `edges` order
         self._leaf_home = leaf_home
-        self._dim = sum(self.degree(v) - 3 for v in self.vertices)
+        self._dim = sum(dims)
 
     @property
     def num_vertices(self) -> int:
@@ -209,6 +220,16 @@ class StableTree:
     def dim(self) -> int:
         return self._dim
 
+    @property
+    def ends(self):
+        """(parent vertex, child vertex) of every internal edge, in ``edges`` order."""
+        return self._ends.values()
+
+    @property
+    def vertex_leaves(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's leaves, in vertex order."""
+        return self._leaves_at
+
     def edges_at(self, v: int) -> tuple[Split, ...]:
         return self._edges_at[v]
 
@@ -216,7 +237,7 @@ class StableTree:
         return self._leaves_at[v]
 
     def degree(self, v: int) -> int:
-        return len(self._edges_at[v]) + len(self._leaves_at[v])
+        return self.dims[v] + 3
 
     def edge_ends(self, edge: Split) -> tuple[int, int]:
         """Endpoints (parent vertex, child vertex) of an internal edge."""
@@ -311,61 +332,71 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     the root.  Each placed block is at least as large as the current one,
     so in a laminar family it either contains the current block or misses
     it; the smallest one containing it owns all of its labels and is its
-    parent.  Two owners among its labels expose a crossing pair, and at the
-    end a label's owner is where its leaf hangs.  A depth-first walk,
-    children by smallest label, numbers the vertices.
+    parent.  So the owner of its first label is its parent candidate, and
+    two mask tests check it: the block must lie inside the candidate and
+    miss the candidate's children placed so far; otherwise a crossing pair
+    is found.  At the end a label's owner is where its leaf hangs.  A
+    depth-first walk, children by smallest label, numbers the vertices and
+    fills the per-edge and per-vertex tables.
 
     Raises IncompatibleSplits naming a crossing pair of the given splits
     when the system is not pairwise compatible.
     """
     ordered = ordered_splits(set(splits))
     for s in ordered:
-        if s.ground != ground:
+        if s.ground is not ground and s.ground != ground:
             raise GroundMismatch(f"split {s} lives on {s.ground.labels}, not {ground.labels}")
 
     # blocks are named by their index in `ordered`; index k is the root
     k = len(ordered)
+    masks = [s.block_mask for s in ordered] + [ground.full_mask]
+    sizes = [m.bit_count() for m in masks]
     owner = dict.fromkeys(ground.labels, k)
-    kids: list[list[int]] = [[] for _ in range(k + 1)]
-    for i in sorted(range(k), key=lambda i: -ordered[i].block_mask.bit_count()):
-        mask = ordered[i].block_mask
+    up = [k] * k  # each block's parent block
+    inside = [0] * (k + 1)  # the union of each block's children placed so far
+    for i in sorted(range(k), key=sizes.__getitem__, reverse=True):
         labels = ordered[i].block
-        owners = set(map(owner.__getitem__, labels))
-        if len(owners) > 1:
-            # at most one owner contains the block; any other meets it
+        j = owner[labels[0]]
+        mask = masks[i]
+        if mask & ~masks[j] or mask & inside[j]:
+            # j, or a block inside j that holds a label of this one, meets it
             # without containing it, and is no smaller, so it crosses it
-            crossing = next(j for j in owners if j < k and mask & ~ordered[j].block_mask)
+            crossing = j if mask & ~masks[j] else next(
+                owner[lab] for lab in labels if owner[lab] != j
+            )
             raise IncompatibleSplits(ordered[crossing], ordered[i])
-        kids[owners.pop()].append(i)
+        up[i] = j
+        inside[j] |= mask
         owner.update(zip(labels, itertools.repeat(i)))
 
-    # each vertex lists the edge toward the root first, then its children's
+    # children by index, which is by smallest label
+    kids: list[list[int]] = [[] for _ in range(k + 1)]
+    for i, j in enumerate(up):
+        kids[j].append(i)
+    # number the vertices depth-first; the root block k is vertex 0
     vid = [0] * (k + 1)
-    edges_at: list[list[Split]] = [[]]
-    ends: dict[Split, tuple[int, int]] = {}
-    stack = [(i, 0) for i in sorted(kids[k], reverse=True)]
+    walk = [k]
+    stack = kids[k][::-1]
     while stack:
-        i, pv = stack.pop()
-        vid[i] = len(edges_at)
-        ends[ordered[i]] = (pv, vid[i])
-        edges_at[pv].append(ordered[i])
-        edges_at.append([ordered[i]])
-        stack.extend((j, vid[i]) for j in sorted(kids[i], reverse=True))
+        i = stack.pop()
+        vid[i] = len(walk)
+        walk.append(i)
+        stack += reversed(kids[i])
 
+    # each vertex lists the edge toward the root first, then its children's
+    edge = ordered.__getitem__
+    edges_at = [tuple(map(edge, kids[k]))]
+    edges_at += [(ordered[i], *map(edge, kids[i])) for i in walk[1:]]
+    # (parent, child) in `edges` order; the zip stops before the root's entry
+    ends = dict(zip(ordered, zip(map(vid.__getitem__, up), vid)))
     leaves_at: list[list[int]] = [[] for _ in edges_at]
-    leaf_home = {lab: vid[i] for lab, i in owner.items()}
+    leaf_home = dict(zip(owner, map(vid.__getitem__, owner.values())))
     for lab, v in leaf_home.items():
         leaves_at[v].append(lab)
-    tree = StableTree(
-        ground,
-        ordered,
-        tuple(tuple(e) for e in edges_at),
-        tuple(tuple(l) for l in leaves_at),
-        ends,
-        leaf_home,
-    )
-    assert all(tree.degree(v) >= 3 for v in tree.vertices)
-    return tree
+    leaves = tuple(map(tuple, leaves_at))
+    dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edges_at, leaves)])
+    assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
+    return StableTree(ground, ordered, tuple(edges_at), leaves, ends, leaf_home, dims)
 
 
 def splits_of_links(

@@ -10,7 +10,9 @@ coefficient per edge and per vertex.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -22,10 +24,25 @@ from .trees import Split
 
 @dataclass
 class BalancedWeighting:
-    """The unique half-edge weight decomposition, keyed by (vertex, edge)."""
+    """The unique half-edge weight decomposition.
+
+    ``halves`` holds each edge's (parent half, child half) in
+    ``tree.edges`` order, and ``parts`` each vertex's incident halves in
+    vertex order.  ``half_weight`` keys the same numbers by (vertex, edge).
+    """
 
     decorated: DecoratedTree
-    half_weight: dict[tuple[int, Split], int]
+    halves: list[tuple[int, int]]
+    parts: list[list[int]]
+
+    @functools.cached_property
+    def half_weight(self) -> dict[tuple[int, Split], int]:
+        tree = self.decorated.tree
+        out = {}
+        for e, (p, c), (hp, hc) in zip(tree.edges, tree.ends, self.halves):
+            out[(p, e)] = hp
+            out[(c, e)] = hc
+        return out
 
     def at(self, v: int, e: Split) -> int:
         return self.half_weight[(v, e)]
@@ -71,41 +88,59 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> Optional[Bal
         raise DimensionUnbalanced(
             f"edge weights + psi weights = {supplied}, but the stratum has dimension {tree.dim}"
         )
-    residual = [
-        decorated.vertex_dim(v) - sum(w for _, w in decorated.psi_at(v))
-        for v in tree.vertices
-    ]
-    if any(r < 0 for r in residual):
+    residual = list(tree.dims)
+    for v, pairs in enumerate(decorated.vertex_psi):
+        if pairs:
+            residual[v] -= sum(w for _, w in pairs)
+    if min(residual) < 0:
         return None
 
-    pending = [set(tree.edges_at(v)) for v in tree.vertices]
+    # per vertex, the number of unresolved edges and the XOR of their
+    # indices in tree.edges: at a count of 1 the XOR is the edge left
+    size = tree.num_vertices
+    ends = list(tree.ends)
+    count = [0] * size
+    xor = [0] * size
+    for i, (p, c) in enumerate(ends):
+        count[p] += 1
+        count[c] += 1
+        xor[p] ^= i
+        xor[c] ^= i
+    weights = list(decorated.edge_weight.values())
     # a heap (ascending, so already heap-ordered) of the unpeeled vertices
     # with exactly one unresolved edge; a tree on V vertices takes V - 1 peels
-    ready = [v for v in tree.vertices if len(pending[v]) == 1]
-    half: dict[tuple[int, Split], int] = {}
+    ready = [v for v in range(size) if count[v] == 1]
+    halves: list = [None] * len(ends)
+    parts: list[list[int]] = [[] for _ in range(size)]
     last = 0
-    for _ in range(tree.num_vertices - 1):
+    for _ in range(size - 1):
         v = heapq.heappop(ready)
-        e = pending[v].pop()
-        p, c = tree.edge_ends(e)
-        other = c if v == p else p
+        i = xor[v]
+        p, c = ends[i]
         near = residual[v]
-        far = decorated.edge_weight[e] - near
+        far = weights[i] - near
         if trace is not None:
-            trace.append((v, e, near, far))
+            trace.append((v, tree.edges[i], near, far))
         if near < 0 or far < 0:
             return None
-        half[(v, e)] = near
-        half[(other, e)] = far
+        if v == p:
+            other = c
+            halves[i] = (near, far)
+        else:
+            other = p
+            halves[i] = (far, near)
+        parts[v].append(near)
+        parts[other].append(far)
         residual[other] -= far
-        pending[other].discard(e)
-        if len(pending[other]) == 1:
+        count[other] -= 1
+        xor[other] ^= i
+        if count[other] == 1:
             heapq.heappush(ready, other)
         last = other
 
     if residual[last] != 0:
         return None
-    return BalancedWeighting(decorated, half)
+    return BalancedWeighting(decorated, halves, parts)
 
 
 def evaluate(decorated: DecoratedTree) -> EvalResult:
@@ -124,23 +159,21 @@ def evaluate(decorated: DecoratedTree) -> EvalResult:
         return EvalResult(0, sign, (), (), None, "no_balance")
 
     tree = decorated.tree
-    edge_factors = []
-    for e in tree.edges:
-        p, c = tree.edge_ends(e)
-        k = decorated.edge_weight[e]
-        edge_factors.append((e, multinomial(k, (weighting.at(p, e), weighting.at(c, e)))))
-    vertex_factors = []
-    for v in tree.vertices:
-        parts = [weighting.at(v, e) for e in tree.edges_at(v)]
-        parts += [w for _, w in decorated.psi_at(v)]
-        vertex_factors.append((v, multinomial(decorated.vertex_dim(v), parts)))
+    edge_factors = tuple([
+        (e, math.comb(k, hp))
+        for e, k, (hp, _) in zip(tree.edges, decorated.edge_weight.values(), weighting.halves)
+    ])
+    vertex_factors = tuple(enumerate([
+        multinomial(dim, parts + [w for _, w in pairs] if pairs else parts)
+        for dim, parts, pairs in zip(tree.dims, weighting.parts, decorated.vertex_psi)
+    ]))
 
     value = sign
     for _, f in edge_factors:
         value *= f
     for _, f in vertex_factors:
         value *= f
-    return EvalResult(value, sign, tuple(edge_factors), tuple(vertex_factors), weighting, "ok")
+    return EvalResult(value, sign, edge_factors, vertex_factors, weighting, "ok")
 
 
 def evaluate_ratio(decorated: DecoratedTree) -> int:
@@ -157,15 +190,14 @@ def evaluate_ratio(decorated: DecoratedTree) -> int:
     weighting = balance(decorated)
     if weighting is None:
         raise NoBalanceGiven("no balanced weighting exists; the product is 0")
-    tree = decorated.tree
     numerator = 1
-    for v in tree.vertices:
-        numerator *= factorial(decorated.vertex_dim(v))
-    for e in tree.splits:
-        numerator *= factorial(decorated.edge_weight[e])
+    for dim in decorated.tree.dims:
+        numerator *= factorial(dim)
+    for k in decorated.edge_weight.values():
+        numerator *= factorial(k)
     denominator = 1
-    for h in weighting.half_weight.values():
-        denominator *= factorial(h) ** 2
+    for hp, hc in weighting.halves:
+        denominator *= (factorial(hp) * factorial(hc)) ** 2
     for w in decorated.psi_weight.values():
         denominator *= factorial(w)
     if numerator % denominator:

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m0nbar.cli import (
+    _SPLIT_BITS,
     Expression,
+    _digits,
     _json_output,
     _report,
     build_parser,
@@ -301,6 +303,18 @@ def test_value_past_the_int_text_limit(command, capsys):
     else:
         value = out.rstrip("\n").rpartition("value = ")[2]
     assert int(Decimal(value)) == math.factorial(1997)
+
+
+def test_split_digits_match_the_plain_conversion():
+    # every value above _SPLIT_BITS takes the divide-and-conquer path
+    big = -math.factorial(50000)  # 213,237 digits
+    edge = 1 << _SPLIT_BITS
+    rng = random.Random(41)
+    values = [0, 1, -1, 10**4299, -(10**4300), edge - 1, edge, edge + 1, -edge - 1, big]
+    values += [rng.getrandbits(_SPLIT_BITS + rng.randint(-64, 64)) for _ in range(4)]
+    values += [(1 << bits) - 1 for bits in (_SPLIT_BITS * 2, _SPLIT_BITS * 2 + 1)]
+    for value in values:
+        assert _digits(value) == str(Decimal(value))
 
 
 class TestExplain:

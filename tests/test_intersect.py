@@ -11,6 +11,7 @@ from m0nbar.intersect import (
     EMPTY,
     RED,
     BoundaryProduct,
+    DecoratedTree,
     apply_coloring,
     color_for_divisor,
     compatible,
@@ -20,6 +21,7 @@ from m0nbar.intersect import (
     product_to_decorated,
     strata_product_to_decorated,
 )
+from m0nbar.oracle import random_decorated_tree
 from m0nbar.trees import (
     MarkedSet,
     enumerate_stable_trees,
@@ -31,6 +33,19 @@ from m0nbar.trees import (
 G5 = MarkedSet.range(5)
 G6 = MarkedSet.range(6)
 G9 = MarkedSet.range(9)
+
+
+def table_inputs():
+    """Every stable tree on 4..7 points with seeded psi weights, then
+    seeded random decorated trees on 3..60 points."""
+    rng = random.Random(37)
+    for n in range(4, 8):
+        for tree in enumerate_stable_trees(n):
+            labels = rng.sample(tree.ground.labels, rng.randint(0, n))
+            yield DecoratedTree(tree, {}, {lab: rng.randint(0, 2) for lab in labels})
+    for n in range(3, 61):
+        for _ in range(5):
+            yield random_decorated_tree(n, rng)
 
 
 def all_divisors(n):
@@ -300,3 +315,31 @@ class TestStrataProduct:
         t = tree_from_splits(G5, (make_split(G5, {1, 2}),))
         with pytest.raises(DegreeMismatch):
             strata_product_to_decorated([t])
+
+
+class TestTables:
+    """The tables a tree and a decoration build once match what they summarize."""
+
+    def test_dims_are_degrees_less_three(self):
+        for decorated in table_inputs():
+            tree = decorated.tree
+            dims = [len(tree.edges_at(v)) + len(tree.leaves_at(v)) - 3 for v in tree.vertices]
+            assert list(tree.dims) == dims
+            assert [decorated.vertex_dim(v) for v in tree.vertices] == dims
+            assert tree.dim == sum(dims)
+
+    def test_ends_follow_the_edge_order(self):
+        for decorated in table_inputs():
+            tree = decorated.tree
+            assert list(tree.ends) == [tree.edge_ends(e) for e in tree.edges]
+            for e, (p, c) in zip(tree.edges, tree.ends):
+                # the child lists the edge toward vertex 0 first
+                assert e in tree.edges_at(p) and tree.edges_at(c)[0] == e and c != 0
+            assert list(tree.vertex_leaves) == [tree.leaves_at(v) for v in tree.vertices]
+
+    def test_psi_pairs_are_the_leaf_scan(self):
+        for decorated in table_inputs():
+            tree, psi = decorated.tree, decorated.psi_weight
+            for v in tree.vertices:
+                scan = tuple((lab, psi[lab]) for lab in tree.leaves_at(v) if lab in psi)
+                assert decorated.psi_at(v) == decorated.vertex_psi[v] == scan

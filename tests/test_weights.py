@@ -1,5 +1,6 @@
 """Balanced weightings and the closed evaluation."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,9 @@ from m0nbar.weights import balance, evaluate, evaluate_ratio, integrate_psi_mono
 G4 = MarkedSet.range(4)
 G5 = MarkedSet.range(5)
 G6 = MarkedSet.range(6)
+
+# sha256 of balance's peel traces, half-weights and values over a seeded stream
+PINNED_PEELS = "3aaa509f2137e14ffede63ca818f5cbc66e3679cb040f5de87dc4421275641df"
 
 
 def decorated_caterpillar():
@@ -90,6 +94,39 @@ class TestBalance:
                 assert weighting.half_weight == survivors[0][0]
             else:
                 assert weighting is None
+
+    def test_halves_and_parts_agree_with_half_weight(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            decorated = random_decorated_tree(rng.randint(3, 30), rng)
+            weighting = balance(decorated)
+            if weighting is None:
+                continue
+            tree = decorated.tree
+            for e, (p, c), halves in zip(tree.edges, tree.ends, weighting.halves):
+                assert halves == (weighting.at(p, e), weighting.at(c, e))
+                assert sum(halves) == decorated.edge_weight[e]
+            for v in tree.vertices:
+                at_v = sorted(weighting.at(v, e) for e in tree.edges_at(v))
+                assert sorted(weighting.parts[v]) == at_v
+
+    def test_peels_are_pinned(self):
+        # the peel order, each peel's halves and the value, over 500 draws
+        rng = random.Random(29)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            decorated = random_decorated_tree(rng.randint(4, 14), rng)
+            trace: list = []
+            weighting = balance(decorated, trace)
+            halves = None if weighting is None else sorted(
+                (v, e.block, h) for (v, e), h in weighting.half_weight.items()
+            )
+            digest.update(repr((
+                [(v, str(e), near, far) for v, e, near, far in trace],
+                halves,
+                evaluate(decorated).value,
+            )).encode() + b"\n")
+        assert digest.hexdigest() == PINNED_PEELS
 
 
 class TestEvaluate:
