@@ -14,7 +14,8 @@ the optional second block is written it must be the exact complement of
 the first.
 
 Exit codes: 0 success (a value of 0 is a success), 2 parse or usage error,
-3 degree mismatch, 4 oracle discrepancy.
+including input too large for this machine's memory, 3 degree mismatch,
+4 oracle discrepancy.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def parse(text: str, n: int) -> Expression:
             payload, pos = block(pos + 1)
             if text.startswith("|", pos):
                 other, q = block(pos + 1)
-                if tuple(sorted(payload + other)) != ground.labels:
+                if ground.mask_of(other) != ground.full_mask ^ ground.mask_of(payload):
                     raise ParseError(
                         pos + 1, "second block must be the exact complement of the first"
                     )
@@ -376,9 +377,7 @@ def _coloring_steps(expr: Expression) -> list[str]:
             )
             break
         colored = ", ".join(f"{name[e]}={coloring.edge_colors[e]}" for e in tree.edges)
-        blues = ",".join(
-            str(lab) for lab in tree.ground.labels if coloring.leaf_colors[lab] == "blue"
-        )
+        blues = ",".join(map(str, d.block))  # the leaves in the divisor's block
         steps.append(f"  insert {name[d]}: edge colors [{colored}]")
         steps.append(f"    blue leaves {{{blues}}}, split vertex v{coloring.split_vertex}")
         tree = meet_divisor(tree, d)
@@ -445,8 +444,7 @@ def _cmd_enumerate(args) -> int:
 def _run_flag_suite(n_max: int, seed: int) -> list[dict]:
     rows = []
     for n in range(4, min(n_max, _CHECK_GUARDS["flag"]) + 1):
-        limit = None if n <= 6 else _FLAG_SAMPLE
-        report = flag_certify(n, sample_limit=limit, seed=seed)
+        report = flag_certify(n, sample_limit=_FLAG_SAMPLE, seed=seed)
         rows.append(
             {
                 "suite": "flag",
@@ -573,6 +571,9 @@ def main(argv=None) -> int:
     except (ParseError, UnstableSplit, LabelOutOfRange, TooLarge, DegreeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DegreeMismatch) else 2
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -9,8 +9,9 @@ edges induce exactly those splits.  This module stores splits canonically
 rebuilds the tree structure from a split system, and enumerates every
 stable tree for small ground sets.
 
-Label subsets are bitmasks over the sorted ground set, so containment and
-compatibility checks are single word operations.
+The ground set is the labels 1..n.  Label subsets are bitmasks, label i
+at bit i - 1, so containment and compatibility checks are single word
+operations.
 """
 
 from __future__ import annotations
@@ -39,33 +40,30 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 @dataclass(frozen=True)
 class MarkedSet:
-    """The ordered set of marked-point labels, canonically 1..n.
+    """The marked-point labels 1..n.
 
-    ``n`` is the number of labels and ``full_mask`` the mask of all of
-    them; both are stored, since every Split reads them.
+    ``labels`` is ``range(1, n + 1)``, and label ``i`` is bit ``i - 1`` of
+    a mask.  The constructor accepts 1..n in any order and nothing else.
+    ``n`` and ``full_mask`` are stored, since every Split reads them.
     """
 
-    labels: tuple[int, ...]
+    labels: range
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.labels))
-        if len(set(ordered)) != len(ordered):
-            raise ValueError(f"duplicate labels in {ordered}")
-        if len(ordered) < 3:
+        n = len(self.labels)
+        if n < 3:
             raise ValueError("stability needs at least 3 marked points")
-        object.__setattr__(self, "labels", ordered)
-        object.__setattr__(self, "_pos", {lab: i for i, lab in enumerate(ordered)})
-        object.__setattr__(self, "n", len(ordered))
-        object.__setattr__(self, "full_mask", (1 << len(ordered)) - 1)
-        # every StableTree hashes its ground set, so hash the labels only once
-        object.__setattr__(self, "_hash", hash(ordered))
-
-    def __hash__(self):
-        return self._hash
+        labels = range(1, n + 1)
+        # a range compares without being listed, so MarkedSet.range is O(1)
+        if self.labels != labels and sorted(self.labels) != list(labels):
+            raise ValueError(f"the labels must be 1..{n}, each once")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "full_mask", (1 << n) - 1)
 
     @classmethod
     def range(cls, n: int) -> "MarkedSet":
-        """The standard ground set {1, ..., n}, one shared instance per n.
+        """The ground set {1, ..., n}, one shared instance per n.
 
         Sharing it makes every ground-set comparison between the splits of
         one computation an identity test.
@@ -73,26 +71,24 @@ class MarkedSet:
         return _standard_ground(cls, n)
 
     def mask_of(self, labels: Iterable[int]) -> int:
-        """Bitmask of a label subset; unknown labels raise LabelOutOfRange."""
+        """Bitmask of a label subset; labels outside 1..n raise LabelOutOfRange."""
         mask = 0
-        pos = self._pos
+        n = self.n
         for lab in labels:
-            try:
-                mask |= 1 << pos[lab]
-            except KeyError:
-                raise LabelOutOfRange(
-                    f"label {lab} is not in the ground set {self.labels}"
-                ) from None
-        return mask
+            if not 0 < lab <= n:
+                raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
+            mask |= 1 << lab
+        # label i is bit i - 1: shift once here instead of once per label
+        return mask >> 1
 
     def labels_of(self, mask: int) -> tuple[int, ...]:
-        # bin() lists the bits high to low; reversed, digit i selects label i
+        # bin() lists the bits high to low; reversed, digit i selects label i + 1
         return tuple(itertools.compress(self.labels, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 @functools.lru_cache(maxsize=16)
 def _standard_ground(cls: type[MarkedSet], n: int) -> MarkedSet:
-    return cls(tuple(range(1, n + 1)))
+    return cls(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,7 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     ordered = ordered_splits(set(splits))
     for s in ordered:
         if s.ground is not ground and s.ground != ground:
-            raise GroundMismatch(f"split {s} lives on {s.ground.labels}, not {ground.labels}")
+            raise GroundMismatch(f"split {s} lives on 1..{s.ground.n}, not 1..{ground.n}")
 
     # blocks are named by their index in `ordered`; index k is the root
     k = len(ordered)

@@ -400,6 +400,34 @@ def test_module_entry_point_runs():
     assert "value = 1" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "expr, code, message",
+    [
+        ("psi1", 3, "error: total degree 1 != n - 3"),
+        ("psi1^99999997", 2, "error: out of memory"),
+    ],
+)
+def test_huge_n_ends_in_an_exit_code(expr, code, message):
+    # the ground set costs O(1) memory at any n, so the degree check runs;
+    # a product that does need memory per label runs out and exits 2
+    resource = pytest.importorskip("resource")
+    limit = 600 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "m0nbar", "eval", "--n", "100000000", expr],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+        timeout=120,
+    )
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @st.composite
 def near_grammar(draw):
     """(n, text): a product that mostly follows the grammar, at n 3..9."""

@@ -93,19 +93,21 @@ class TestSplit:
 
     def test_same_mask_on_other_ground_differs(self):
         mask = G5.mask_of((2, 3))
-        other = MarkedSet((1, 2, 3, 4, 9))
+        other = MarkedSet.range(6)
         assert Split(G5, mask) != Split(other, mask)
-        assert Split(G5, mask) != Split(MarkedSet.range(6), mask)
         assert len({Split(G5, mask), Split(other, mask)}) == 2
 
 
 class TestMarkedSet:
     def test_labels_are_sorted_and_distinct(self):
-        assert MarkedSet((3, 1, 2)).labels == (1, 2, 3)
+        assert tuple(MarkedSet((3, 1, 2)).labels) == (1, 2, 3)
         assert MarkedSet((3, 1, 2)) == MarkedSet.range(3)
         assert hash(MarkedSet((3, 1, 2))) == hash(MarkedSet.range(3))
-        with pytest.raises(ValueError):
-            MarkedSet((1, 1, 2))
+        assert MarkedSet.range(7).labels == range(1, 8)
+        # the ground set is exactly 1..n
+        for labels in [(1, 1, 2), (3, 7, 10, 12), (0, 1, 2), range(0, 5)]:
+            with pytest.raises(ValueError):
+                MarkedSet(labels)
 
     def test_standard_ground_is_shared_per_n(self):
         assert MarkedSet.range(9) is MarkedSet.range(9)
@@ -119,10 +121,13 @@ class TestMarkedSet:
     def test_mask_round_trip(self):
         mask = G5.mask_of((2, 4))
         assert G5.labels_of(mask) == (2, 4)
-        sparse = MarkedSet((3, 7, 10, 12))
-        assert sparse.labels_of(sparse.mask_of((7, 12))) == (7, 12)
-        assert sparse.labels_of(0) == ()
-        assert sparse.labels_of(sparse.full_mask) == (3, 7, 10, 12)
+        for lab in (0, -1, 6):
+            with pytest.raises(LabelOutOfRange):
+                G5.mask_of((2, lab))
+        big = MarkedSet.range(10**6)
+        assert big.labels_of(big.mask_of((1, 500000, 10**6))) == (1, 500000, 10**6)
+        assert big.labels_of(0) == ()
+        assert big.labels_of(big.full_mask) == tuple(range(1, 10**6 + 1))
 
 
 class TestReconstruction:
