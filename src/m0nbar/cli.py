@@ -13,7 +13,8 @@ inferred, because D{1,2} names different divisors for different n.  When
 the optional second block is written it must be the exact complement of
 the first.
 
-Exit codes: 0 success (a value of 0 is a success), 2 parse or usage error,
+Exit codes: 0 success (a value of 0 is a success), 1 the reader closed
+standard output before the output was written, 2 parse or usage error,
 including input too large for this machine's memory, 3 degree mismatch,
 4 oracle discrepancy.
 """
@@ -25,6 +26,7 @@ import collections
 import decimal
 import itertools
 import json
+import os
 import random
 import re
 import sys
@@ -138,7 +140,7 @@ def parse(text: str, n: int) -> Expression:
             payload, pos = block(pos + 1)
             if text.startswith("|", pos):
                 other, q = block(pos + 1)
-                if ground.mask_of(other) != ground.full_mask ^ ground.mask_of(payload):
+                if len(payload) + len(other) != n or not set(payload).isdisjoint(other):
                     raise ParseError(
                         pos + 1, "second block must be the exact complement of the first"
                     )
@@ -577,4 +579,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader closed standard output: send what is still buffered to
+        # devnull, so the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

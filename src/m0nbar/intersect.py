@@ -155,16 +155,17 @@ def apply_coloring(coloring: Coloring) -> StableTree:
 
     fresh = tree.num_vertices
     links: list[tuple[int, int]] = []
-    for e in tree.edges:
-        p, c = tree.edge_ends(e)
+    for e, (p, c) in zip(tree.edges, tree.ends):
         if p == v and coloring.edge_colors[e] == RED:
             p = fresh
         elif c == v and coloring.edge_colors[e] == RED:
             c = fresh
         links.append((p, c))
     links.append((v, fresh))
-    leaf_node = {lab: tree.leaf_vertex(lab) for lab in tree.ground.labels}
-    leaf_node.update((lab, fresh) for lab in tree.leaves_at(v) if coloring.leaf_colors[lab] == RED)
+    leaf_node = tree._leaf_at.copy()
+    for lab in tree.leaves_at(v):
+        if coloring.leaf_colors[lab] == RED:
+            leaf_node[lab - 1] = fresh
     return tree_from_splits(tree.ground, splits_of_links(tree.ground, links, leaf_node))
 
 

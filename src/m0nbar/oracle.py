@@ -55,7 +55,7 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[dict, int]]
             f"total edge weight {k_total} exceeds the expansion guard {EXPANSION_BUDGET}"
         )
     edges = tree.edges
-    ends = list(tree.ends)
+    ends = tree.ends
     weights = list(decorated.edge_weight.values())
     psi = [[w for _, w in pairs] for pairs in decorated.vertex_psi]
     psi_load = list(map(sum, psi))
@@ -208,7 +208,7 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
     arises with positive probability.
     """
     ground = MarkedSet.range(n)
-    leaf_node = {1: 0, 2: 0, 3: 0}
+    leaf_node = [0, 0, 0]  # label i's node at index i - 1
     links: list[tuple[int, int]] = []
     for leaf in range(4, n + 1):
         # one draw over the spots: a node, then a link, then a leaf 1..leaf-1;
@@ -216,7 +216,7 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
         w = len(links) + 1
         spot = rng.randrange(w + len(links) + leaf - 1)
         if spot < w:
-            leaf_node[leaf] = spot
+            leaf_node.append(spot)
             continue
         spot -= w
         if spot < len(links):
@@ -224,10 +224,10 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
             links[spot] = (a, w)
             links.append((w, b))
         else:
-            which = spot - len(links) + 1
+            which = spot - len(links)
             links.append((leaf_node[which], w))
             leaf_node[which] = w
-        leaf_node[leaf] = w
+        leaf_node.append(w)
     return tree_from_splits(ground, splits_of_links(ground, links, leaf_node))
 
 

@@ -16,11 +16,12 @@ operations.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GroundMismatch,
@@ -176,33 +177,35 @@ class StableTree:
     them in the canonical order (lexicographic by block), and ``splits`` is
     the same edges as a set.
 
-    The per-edge and per-vertex facts are tables computed once: ``ends``
-    lists each edge's (parent, child) in ``edges`` order, ``dims`` each
-    vertex's dimension (degree - 3) and ``vertex_leaves`` each vertex's
-    leaves, both in vertex order, so consumers zip them with ``edges`` and
-    ``vertices`` instead of looking edges up.
+    The incidence is index tables computed once: ``ends`` lists each edge's
+    (parent, child) in ``edges`` order, ``dims`` each vertex's dimension
+    (degree - 3) and ``vertex_leaves`` each vertex's leaves, both in vertex
+    order, so consumers zip them with ``edges`` and ``vertices`` instead of
+    looking edges up.  Privately each vertex lists the indices of its edges,
+    the one toward vertex 0 first, and label i's vertex sits at index i - 1
+    of the leaf table.  An edge is found by one bisection of ``edges``.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
-    __slots__ = ("ground", "edges", "splits", "dims", "_edges_at", "_leaves_at", "_ends",
-                 "_leaf_home", "_dim")
+    __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_edge_ids",
+                 "_leaf_at", "_dim")
 
-    def __init__(self, ground, edges, edges_at, leaves_at, ends, leaf_home, dims):
+    def __init__(self, ground, edges, ends, dims, vertex_leaves, edge_ids, leaf_at):
         self.ground = ground
         self.edges = edges
         self.splits = frozenset(edges)
+        self.ends = ends
         self.dims = dims
-        self._edges_at = edges_at
-        self._leaves_at = leaves_at
-        self._ends = ends  # inserted in `edges` order
-        self._leaf_home = leaf_home
+        self.vertex_leaves = vertex_leaves
+        self._edge_ids = edge_ids
+        self._leaf_at = leaf_at
         self._dim = sum(dims)
 
     @property
     def num_vertices(self) -> int:
-        return len(self._edges_at)
+        return len(self.dims)
 
     @property
     def vertices(self) -> range:
@@ -216,38 +219,30 @@ class StableTree:
     def dim(self) -> int:
         return self._dim
 
-    @property
-    def ends(self):
-        """(parent vertex, child vertex) of every internal edge, in ``edges`` order."""
-        return self._ends.values()
-
-    @property
-    def vertex_leaves(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's leaves, in vertex order."""
-        return self._leaves_at
-
     def edges_at(self, v: int) -> tuple[Split, ...]:
-        return self._edges_at[v]
+        return tuple(map(self.edges.__getitem__, self._edge_ids[v]))
 
     def leaves_at(self, v: int) -> tuple[int, ...]:
-        return self._leaves_at[v]
+        return self.vertex_leaves[v]
 
     def degree(self, v: int) -> int:
         return self.dims[v] + 3
 
+    def _index(self, edge: Split) -> int:
+        i = bisect.bisect_left(self.edges, edge.block, key=_BLOCK)
+        if i == len(self.edges) or self.edges[i] != edge:
+            raise NotInternalEdge(f"{edge} is not an internal edge of this tree")
+        return i
+
     def edge_ends(self, edge: Split) -> tuple[int, int]:
         """Endpoints (parent vertex, child vertex) of an internal edge."""
-        try:
-            return self._ends[edge]
-        except KeyError:
-            raise NotInternalEdge(f"{edge} is not an internal edge of this tree") from None
+        return self.ends[self._index(edge)]
 
     def leaf_vertex(self, label: int) -> int:
         """The internal vertex a leaf is attached to."""
-        try:
-            return self._leaf_home[label]
-        except KeyError:
-            raise LabelOutOfRange(f"no leaf labeled {label}") from None
+        if not 0 < label <= self.ground.n:
+            raise LabelOutOfRange(f"no leaf labeled {label}")
+        return self._leaf_at[label - 1]
 
     def leaf_path(self, a: int, b: int) -> tuple[list[int], list[Split]]:
         """Vertices and internal edges on the walk from leaf a's vertex to leaf b's.
@@ -256,49 +251,50 @@ class StableTree:
         lists the edge toward vertex 0 first, so both walks climb by it.
         """
         va, vb = self.leaf_vertex(a), self.leaf_vertex(b)
-        up, up_edges = [va], []
+        up, up_ids = [va], []
         v = va
         while v:
-            e = self._edges_at[v][0]
-            v = self._ends[e][0]
+            i = self._edge_ids[v][0]
+            v = self.ends[i][0]
             up.append(v)
-            up_edges.append(e)
+            up_ids.append(i)
         where = {v: i for i, v in enumerate(up)}
         down = []
         v = vb
         while v not in where:
-            e = self._edges_at[v][0]
-            down.append((v, e))
-            v = self._ends[e][0]
+            i = self._edge_ids[v][0]
+            down.append((v, i))
+            v = self.ends[i][0]
         i = where[v]
         vertices = up[: i + 1] + [w for w, _ in reversed(down)]
-        edges = up_edges[:i] + [e for _, e in reversed(down)]
-        return vertices, edges
+        ids = up_ids[:i] + [j for _, j in reversed(down)]
+        return vertices, list(map(self.edges.__getitem__, ids))
 
     def branch(self, v: int, edge: Split) -> tuple[tuple[Split, ...], tuple[int, ...]]:
         """Internal edges and leaves strictly beyond ``edge``, seen from ``v``."""
-        p, c = self.edge_ends(edge)
+        skip = self._index(edge)
+        p, c = self.ends[skip]
         if v == p:
             start = c
         elif v == c:
             start = p
         else:
             raise NotInternalEdge(f"{edge} is not incident to vertex {v}")
-        edges, leaves = [], []
+        ids, leaves = [], []
         stack, seen = [start], {start}
         while stack:
             u = stack.pop()
-            leaves.extend(self._leaves_at[u])
-            for f in self._edges_at[u]:
-                if f == edge:
+            leaves.extend(self.vertex_leaves[u])
+            for i in self._edge_ids[u]:
+                if i == skip:
                     continue
-                a2, b2 = self._ends[f]
+                a2, b2 = self.ends[i]
                 w = b2 if u == a2 else a2
                 if w not in seen:
                     seen.add(w)
-                    edges.append(f)
+                    ids.append(i)
                     stack.append(w)
-        return tuple(edges), tuple(sorted(leaves))
+        return tuple(map(self.edges.__getitem__, ids)), tuple(sorted(leaves))
 
     def __eq__(self, other):
         if not isinstance(other, StableTree):
@@ -380,28 +376,29 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
         stack += reversed(kids[i])
 
     # each vertex lists the edge toward the root first, then its children's
-    edge = ordered.__getitem__
-    edges_at = [tuple(map(edge, kids[k]))]
-    edges_at += [(ordered[i], *map(edge, kids[i])) for i in walk[1:]]
+    edge_ids = [tuple(kids[k])]
+    edge_ids += [(i, *kids[i]) for i in walk[1:]]
     # (parent, child) in `edges` order; the zip stops before the root's entry
-    ends = dict(zip(ordered, zip(map(vid.__getitem__, up), vid)))
-    leaves_at: list[list[int]] = [[] for _ in edges_at]
-    leaf_home = dict(zip(owner, map(vid.__getitem__, owner.values())))
-    for lab, v in leaf_home.items():
+    ends = tuple(zip(map(vid.__getitem__, up), vid))
+    # owner lists the labels in order; a list, since tuple() of a map has no
+    # length hint and would grow through the tuple free lists
+    leaf_at = list(map(vid.__getitem__, owner.values()))
+    leaves_at: list[list[int]] = [[] for _ in edge_ids]
+    for lab, v in zip(owner, leaf_at):
         leaves_at[v].append(lab)
     leaves = tuple(map(tuple, leaves_at))
-    dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edges_at, leaves)])
+    dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edge_ids, leaves)])
     assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
-    return StableTree(ground, ordered, tuple(edges_at), leaves, ends, leaf_home, dims)
+    return StableTree(ground, ordered, ends, dims, leaves, tuple(edge_ids), leaf_at)
 
 
 def splits_of_links(
-    ground: MarkedSet, links: Sequence[tuple[int, int]], leaf_node: Mapping[int, int]
+    ground: MarkedSet, links: Sequence[tuple[int, int]], leaf_node: Sequence[int]
 ) -> list[Split]:
     """The split each link of an abstract tree induces, in link order.
 
     The links join the nodes 0..len(links) into a tree, and ``leaf_node``
-    maps every label to its node.  One walk from the node holding the
+    holds label i's node at index i - 1.  One walk from the node holding the
     smallest label orders the nodes, and leaf masks gather bottom-up, so
     each link's far side avoids that label: it is the canonical block.
     A side with fewer than two labels raises UnstableSplit.
@@ -411,10 +408,10 @@ def splits_of_links(
         at[a].append(i)
         at[b].append(i)
     mask = [0] * len(at)
-    for i, lab in enumerate(ground.labels):
-        mask[leaf_node[lab]] |= 1 << i
+    for i, node in enumerate(leaf_node):
+        mask[node] |= 1 << i
 
-    root = leaf_node[ground.labels[0]]
+    root = leaf_node[0]
     up = [-1] * len(at)  # the link toward the root
     order = [root]
     for u in order:

@@ -98,7 +98,7 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> Optional[Bal
     # per vertex, the number of unresolved edges and the XOR of their
     # indices in tree.edges: at a count of 1 the XOR is the edge left
     size = tree.num_vertices
-    ends = list(tree.ends)
+    ends = tree.ends
     count = [0] * size
     xor = [0] * size
     for i, (p, c) in enumerate(ends):

@@ -400,6 +400,20 @@ def test_module_entry_point_runs():
     assert "value = 1" in proc.stdout
 
 
+def test_reader_closing_stdout_early_exits_1():
+    # enumerate --n 8 writes about 2.7 MB, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "m0nbar", "enumerate", "--n", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"(trivial stratum)\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize(
     "expr, code, message",
     [

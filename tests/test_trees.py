@@ -139,6 +139,14 @@ class TestReconstruction:
         assert sorted(t.degree(v) for v in t.vertices) == [3, 3, 3, 4, 4]
         assert t.leaves_at(0) == (1, 4)
 
+    def test_leaf_vertex_covers_exactly_the_labels(self, nine_point_tree):
+        t = nine_point_tree
+        for lab in (0, -1, t.ground.n + 1):
+            with pytest.raises(LabelOutOfRange):
+                t.leaf_vertex(lab)
+        for lab in t.ground.labels:
+            assert lab in t.vertex_leaves[t.leaf_vertex(lab)]
+
     def test_no_splits_gives_one_big_vertex(self):
         t = tree_from_splits(G5, ())
         assert t.num_vertices == 1
@@ -234,7 +242,7 @@ class TestSplitOfEdge:
                     assert split_of_edge(t, e) == e
                 # the tree's own incidence, read back by one walk over its links
                 links = [t.edge_ends(e) for e in t.edges]
-                leaf_node = {lab: t.leaf_vertex(lab) for lab in t.ground.labels}
+                leaf_node = [t.leaf_vertex(lab) for lab in t.ground.labels]
                 assert splits_of_links(t.ground, links, leaf_node) == list(t.edges)
 
     def test_round_trip_on_random_trees(self):
@@ -251,6 +259,19 @@ class TestSplitOfEdge:
     def test_foreign_split_is_not_an_edge(self, nine_point_tree):
         with pytest.raises(NotInternalEdge):
             split_of_edge(nine_point_tree, make_split(nine_point_tree.ground, {5, 6}))
+        # blocks sorting before and after every edge, and an edge's own mask
+        # on another ground set, which sorts where that edge does
+        t = nine_point_tree
+        e = make_split(t.ground, {2, 6, 8})
+        for foreign in (
+            make_split(t.ground, {2, 3}),
+            make_split(t.ground, {5, 6}),
+            Split(MarkedSet.range(10), e.block_mask),
+        ):
+            with pytest.raises(NotInternalEdge):
+                t.edge_ends(foreign)
+            with pytest.raises(NotInternalEdge):
+                split_of_edge(t, foreign)
 
 
 class TestTreeEqual:
