@@ -26,6 +26,7 @@ import collections
 import decimal
 import itertools
 import json
+import operator
 import os
 import random
 import re
@@ -57,12 +58,17 @@ from .oracle import (
     string_eq_psi_integral,
     surviving_decompositions,
 )
-from .trees import MarkedSet, Split, enumerate_stable_trees, make_split, tree_from_splits
+from .trees import MarkedSet, Split, enumerate_stable_trees, split_of_side, tree_from_splits
 from .weights import EvalResult, balance, evaluate, evaluate_ratio
 
 _NAT = re.compile(r"[0-9]+")
-_LABELS = re.compile(r"[0-9]+(?:,[0-9]+)*")
+# a block's labels and commas, matched as one run; parse() cuts it before an
+# empty label, which is faster than matching label by label
+_LABELS = re.compile(r"[0-9][0-9,]*")
 _SEPARATOR = re.compile(r"\s*(\*)?\s*")
+# json's C scanner reads "[1,2,...]" about twice as fast as int() per label;
+# it refuses leading zeros, which int() reads
+_scan_json = json.JSONDecoder().scan_once
 
 _CHECK_GUARDS = {"expansion": 8, "string": 10, "flag": FLAG_LIMIT}
 _FLAG_SAMPLE = 100_000
@@ -80,9 +86,10 @@ class Expression:
 def parse(text: str, n: int) -> Expression:
     """Parse an expression against the grammar above.
 
-    Each label block is one regex match, converted by ``str.split`` and
-    ``int``.  Divisors are canonicalized immediately, so two spellings of
-    the same divisor compare equal.  Raises ParseError with a position on
+    Each label block is one regex match, converted to ints by json's
+    scanner, and sorted.  Divisors are canonicalized immediately, from the
+    labels, so two spellings of the same divisor compare equal and no mask
+    is built.  Raises ParseError with a position on
     grammar violations, LabelOutOfRange for labels outside 1..n, and
     UnstableSplit for splits with a side smaller than two.
     """
@@ -100,31 +107,40 @@ def parse(text: str, n: int) -> Expression:
             raise ParseError(p, f"{what} has too many digits") from None
 
     def block(p: int) -> tuple[list[int], int]:
+        """The labels of the block at p, ascending, and the position after it."""
         if not text.startswith("{", p):
             raise ParseError(p, "expected '{'")
         m = _LABELS.match(text, p + 1)
         if not m:
             raise ParseError(p + 1, "expected a label")
-        digits = m.group().split(",")
+        written = m.group()
+        # the labels end before the first empty one
+        empty = written.find(",,")
+        written = written[:empty] if empty >= 0 else written.rstrip(",")
         try:
-            labels = list(map(int, digits))
-        except ValueError:
-            # every label before the first long one is shorter, so the long
-            # one's text first occurs where it is written
-            for lab in digits:
-                nat(text.index(lab, p), "a label")
-            raise
-        q = m.end()
+            labels = _scan_json("[" + written + "]", 0)[0]
+        except ValueError:  # a leading zero, or a label too long for int()
+            digits = written.split(",")
+            try:
+                labels = list(map(int, digits))
+            except ValueError:
+                # every label before the first long one is shorter, so the
+                # long one's text first occurs where it is written
+                for lab in digits:
+                    nat(text.index(lab, p), "a label")
+                raise
+        q = p + 1 + len(written)
         if text.startswith(",", q):
             raise ParseError(q + 1, "expected a label")
         if not text.startswith("}", q):
             raise ParseError(q, "expected '}' or ','")
-        if len(set(labels)) != len(labels):
+        ordered = sorted(labels)
+        if len(set(ordered)) != len(ordered):
             raise ParseError(p, "duplicate label in block")
-        if min(labels) < 1 or max(labels) > n:
+        if ordered[0] < 1 or ordered[-1] > n:
             lab = next(lab for lab in labels if not 1 <= lab <= n)
             raise LabelOutOfRange(f"label {lab} outside 1..{n}")
-        return labels, q + 1
+        return ordered, q + 1
 
     pos = size - len(text.lstrip())
     if pos == size:
@@ -150,7 +166,9 @@ def parse(text: str, n: int) -> Expression:
         exponent = 1
         if text.startswith("^", pos):
             exponent, pos = nat(pos + 1, "an exponent")
-        factors.append((kind, payload if kind == "psi" else make_split(ground, payload), exponent))
+        if kind == "divisor":
+            payload = split_of_side(ground, payload)
+        factors.append((kind, payload, exponent))
         m = _SEPARATOR.match(text, pos)
         if m.end() == size:
             if m.group(1):
@@ -299,29 +317,38 @@ def _text_output(report: _Report) -> str:
 
 
 def _json_output(report: _Report) -> str:
-    result = report.result
-    # json writes a tuple as it writes a list, so the cached blocks go in as they are
-    blocks = [row.split.block for row in report.edges]
-    payload = {
-        "n": report.product.ground.n,
-        "value": _digits(result.value),
-        "sign": result.sign,
-        "reason": result.reason,
-        "stratum": None if report.decorated is None else {"splits": blocks},
-        "edge_weights": [row.k for row in report.edges],
-        "vertex_dims": [row.dim for row in report.vertices],
-        "balanced": [],
-        "factors": {"edges": [], "vertices": []},
-    }
+    """The report as one JSON line, in json.dumps's layout.
+
+    json.dumps writes the scalars and the factors.  Each block's text is
+    written once, from one string per label, and goes into both
+    ``stratum.splits`` and ``balanced``.
+    """
+    result, edges = report.result, report.edges
+    n = report.product.ground.n
+    if sum(len(row.split.block) for row in edges) >= n:
+        # the blocks spell n labels or more: a table of n strings pays off
+        table = list(map(str, range(n + 1)))
+        blocks = ["[" + ", ".join(operator.itemgetter(*row.split.block)(table)) + "]"
+                  for row in edges]
+    else:
+        blocks = ["[" + ", ".join(map(str, row.split.block)) + "]" for row in edges]
+    head = {"n": n, "value": _digits(result.value), "sign": result.sign, "reason": result.reason}
+    out = [json.dumps(head)[:-1], ', "stratum": ']
+    out += ["null"] if report.decorated is None else ['{"splits": [', ", ".join(blocks), "]}"]
+    out += [', "edge_weights": ', json.dumps([row.k for row in edges]),
+            ', "vertex_dims": ', json.dumps([row.dim for row in report.vertices]),
+            ', "balanced": [']
+    factors = {"edges": [], "vertices": []}
     if result.weighting is not None:
-        payload["balanced"] = [
-            {"edge": block, "halves": list(row.halves)} for block, row in zip(blocks, report.edges)
-        ]
-        payload["factors"] = {
-            "edges": [_digits(row.factor) for row in report.edges],
+        for i, (block, row) in enumerate(zip(blocks, edges)):
+            hp, hc = row.halves
+            out += [', {"edge": ' if i else '{"edge": ', block, f', "halves": [{hp}, {hc}]}}']
+        factors = {
+            "edges": [_digits(row.factor) for row in edges],
             "vertices": [_digits(row.factor) for row in report.vertices],
         }
-    return json.dumps(payload) + "\n"
+    out += ['], "factors": ', json.dumps(factors), "}\n"]
+    return "".join(out)
 
 
 def _dot_output(report: _Report) -> str:
@@ -573,7 +600,9 @@ def main(argv=None) -> int:
     except (ParseError, UnstableSplit, LabelOutOfRange, TooLarge, DegreeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DegreeMismatch) else 2
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # OverflowError: a table of more than sys.maxsize entries, which no
+        # memory holds
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 2
 

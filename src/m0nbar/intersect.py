@@ -12,6 +12,7 @@ is reported through the EMPTY sentinel rather than an exception.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -20,6 +21,7 @@ from .errors import (
     EdgeConditionFails,
     GroundMismatch,
     IncompatibleSplits,
+    LabelOutOfRange,
     NotInternalEdge,
 )
 from .trees import (
@@ -235,8 +237,10 @@ class BoundaryProduct:
                 raise GroundMismatch(f"divisor {s} lives on a different ground set")
             if k < 1:
                 raise ValueError("divisor exponents must be >= 1")
+        n = self.ground.n
         for lab, k in self.psi_powers.items():
-            self.ground.mask_of((lab,))
+            if not 0 < operator.index(lab) <= n:
+                raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
             if k < 1:
                 raise ValueError("psi exponents must be >= 1")
 
@@ -253,7 +257,8 @@ class DecoratedTree:
     vertex contributes.  Edge weights count repeated divisor factors beyond
     the first, and ``edge_weight`` lists every edge in ``tree.edges`` order;
     psi weights sit on leaves, and ``vertex_psi`` holds each vertex's
-    (leaf, weight) pairs in vertex order, built once.
+    (leaf, weight) pairs in vertex order, built once.  Weights given for
+    exactly the edges, in that order, are copied without a lookup.
     """
 
     tree: StableTree
@@ -262,14 +267,19 @@ class DecoratedTree:
     vertex_psi: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        normalized = {e: 0 for e in self.tree.edges}
-        for e, k in self.edge_weight.items():
-            if e not in normalized:
-                raise NotInternalEdge(f"{e} is not an edge of the decorated tree")
-            if k < 0:
-                raise ValueError("edge weights must be >= 0")
-            normalized[e] = k
-        self.edge_weight = normalized
+        edges = self.tree.edges
+        weights = self.edge_weight
+        if len(weights) == len(edges) and all(map(operator.is_, weights, edges)):
+            weights = dict(weights)
+        else:
+            weights = dict.fromkeys(edges, 0)
+            for e, k in self.edge_weight.items():
+                if e not in weights:
+                    raise NotInternalEdge(f"{e} is not an edge of the decorated tree")
+                weights[e] = k
+        if weights and min(weights.values()) < 0:
+            raise ValueError("edge weights must be >= 0")
+        self.edge_weight = weights
         psi: dict[int, int] = {}
         # labels ascend, and so do each vertex's leaves
         at: dict[int, list[tuple[int, int]]] = {}
@@ -321,7 +331,9 @@ def product_to_decorated(product: BoundaryProduct) -> DecorationResult:
         tree = tree_from_splits(product.ground, product.divisor_powers.keys())
     except IncompatibleSplits:
         return EMPTY
-    weights = {s: k - 1 for s, k in product.divisor_powers.items()}
+    # tree.edges holds the divisors themselves, so each is looked up once
+    powers = product.divisor_powers
+    weights = {e: powers[e] - 1 for e in tree.edges}
     return DecoratedTree(tree, weights, dict(product.psi_powers))
 
 

@@ -9,9 +9,11 @@ edges induce exactly those splits.  This module stores splits canonically
 rebuilds the tree structure from a split system, and enumerates every
 stable tree for small ground sets.
 
-The ground set is the labels 1..n.  Label subsets are bitmasks, label i
-at bit i - 1, so containment and compatibility checks are single word
-operations.
+The ground set is the labels 1..n.  A split is its canonical block, a
+sorted tuple of labels, so the work of building, hashing and comparing it,
+and of rebuilding a tree, is linear in the labels written.  Label subsets
+can also be bitmasks, label i at bit i - 1, where single word operations
+pay off: enumeration and the compatibility tests at small n.
 """
 
 from __future__ import annotations
@@ -45,13 +47,19 @@ class MarkedSet:
 
     ``labels`` is ``range(1, n + 1)``, and label ``i`` is bit ``i - 1`` of
     a mask.  The constructor accepts 1..n in any order and nothing else.
-    ``n`` and ``full_mask`` are stored, since every Split reads them.
+    ``n`` is stored, since every Split reads it; ``full_mask`` is computed
+    on first use, so the ground set costs O(1) memory at any n.
     """
 
     labels: range
 
     def __post_init__(self):
-        n = len(self.labels)
+        labels = self.labels
+        if isinstance(labels, range) and labels.start == 1 and labels.step == 1:
+            # len() of a range fails past sys.maxsize labels
+            n = max(labels.stop - 1, 0)
+        else:
+            n = len(labels)
         if n < 3:
             raise ValueError("stability needs at least 3 marked points")
         labels = range(1, n + 1)
@@ -60,7 +68,16 @@ class MarkedSet:
             raise ValueError(f"the labels must be 1..{n}, each once")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "full_mask", (1 << n) - 1)
+
+    @functools.cached_property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    @functools.cached_property
+    def _ints(self) -> list[int]:
+        # 0..n, built on first use: label tuples taken from it share their
+        # int objects instead of each allocating its own
+        return list(range(self.n + 1))
 
     @classmethod
     def range(cls, n: int) -> "MarkedSet":
@@ -92,70 +109,98 @@ def _standard_ground(cls: type[MarkedSet], n: int) -> MarkedSet:
     return cls(range(1, n + 1))
 
 
-@dataclass(frozen=True)
 class Split:
     """A boundary divisor: a 2-block partition of the ground set.
 
-    The stored block is the side that does not contain the smallest label,
-    so every divisor has exactly one representation.  Use make_split to
-    build one from an arbitrary side.  The block's labels and the hash are
-    each computed at most once per instance.
+    A split is its canonical block: the sorted labels of the side that does
+    not contain the smallest label, so every divisor has exactly one
+    representation.  Equality and the hash read the ground set and the
+    block, and the hash is computed once.  ``block_mask`` is computed from
+    the block on first use.  The constructor takes the block as a mask;
+    make_split builds a split from either side given as labels.  Treat
+    instances as immutable.
     """
 
-    ground: MarkedSet
-    block_mask: int
-
-    def __post_init__(self):
-        if self.block_mask & ~self.ground.full_mask:
+    def __init__(self, ground: MarkedSet, block_mask: int):
+        n = ground.n
+        if block_mask < 0 or block_mask >> n:
             raise LabelOutOfRange("block mask reaches outside the ground set")
-        size = self.block_mask.bit_count()
-        if not 2 <= size <= self.ground.n - 2:
-            raise UnstableSplit(
-                f"a split side has {size} of {self.ground.n} marked points; both need >= 2"
-            )
-        if self.block_mask & 1:
+        size = block_mask.bit_count()
+        if not 2 <= size <= n - 2:
+            raise UnstableSplit(f"a split side has {size} of {n} marked points; both need >= 2")
+        if block_mask & 1:
             raise ValueError("block contains the smallest label; use make_split")
-        # equal splits have equal masks, so the mask alone is a valid hash
-        self.__dict__["_hash"] = hash(self.block_mask)
+        self.block_mask = block_mask
+        self._set(ground, ground.labels_of(block_mask))
+
+    def _set(self, ground: MarkedSet, block: tuple[int, ...]) -> None:
+        self.ground = ground
+        self.block = block
+        self._hash = hash((ground.n, block))
+
+    @functools.cached_property
+    def block_mask(self) -> int:
+        """The block as a mask, label i at bit i - 1."""
+        return self.ground.mask_of(self.block)
+
+    def __eq__(self, other):
+        if not isinstance(other, Split):
+            return NotImplemented
+        return (self._hash == other._hash and self.block == other.block
+                and self.ground == other.ground)
 
     def __hash__(self):
         return self._hash
 
-    @functools.cached_property
-    def block(self) -> tuple[int, ...]:
-        """The canonical side (never contains the smallest label)."""
-        return self.ground.labels_of(self.block_mask)
-
     @property
     def complement(self) -> tuple[int, ...]:
-        return self.ground.labels_of(self.ground.full_mask ^ self.block_mask)
+        return _complement(self.block, self.ground)
 
     def __str__(self):
         blk = ",".join(str(x) for x in self.block)
         rest = ",".join(str(x) for x in self.complement)
         return f"{blk}|{rest}"
 
+    def __repr__(self):
+        return f"Split({self.ground!r}, block={self.block!r})"
+
+
+def _complement(labels: Sequence[int], ground: MarkedSet) -> tuple[int, ...]:
+    # labels: distinct labels of 1..n; one byte per label marks the rest
+    keep = bytearray(b"\x01") * (ground.n + 1)
+    keep[0] = 0
+    for lab in labels:
+        keep[lab] = 0
+    return tuple(itertools.compress(ground._ints, keep))
+
 
 def make_split(ground: MarkedSet, side: Iterable[int]) -> Split:
     """Canonical split with the given side.
 
     The stored block becomes whichever of side/complement avoids the
-    smallest label.  Sides with fewer than two labels on either end raise
-    UnstableSplit.
+    smallest label.  Labels outside 1..n raise LabelOutOfRange, and sides
+    with fewer than two labels on either end raise UnstableSplit.
     """
-    side = tuple(side)
-    mask = ground.mask_of(side)
-    size = mask.bit_count()
-    if not 2 <= size <= ground.n - 2:
-        raise UnstableSplit(
-            f"a split side has {size} of {ground.n} marked points; both need >= 2"
-        )
-    if mask & 1:
-        return Split(ground, mask ^ ground.full_mask)
-    split = Split(ground, mask)
-    # the side is the block: fill the cache without reading the mask back
-    block = sorted(side)
-    split.__dict__["block"] = tuple(block if len(block) == size else sorted(set(block)))
+    labels = sorted(set(map(operator.index, side)))
+    n = ground.n
+    if labels and not (labels[0] > 0 and labels[-1] <= n):
+        lab = labels[0] if labels[0] <= 0 else labels[-1]
+        raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
+    return split_of_side(ground, labels)
+
+
+def split_of_side(ground: MarkedSet, labels: list[int]) -> Split:
+    """make_split for a side already checked: distinct labels of 1..n, ascending.
+
+    A side holding the smallest label is replaced by its complement, read
+    off the labels, so no mask is built.
+    """
+    size = len(labels)
+    n = ground.n
+    if not 2 <= size <= n - 2:
+        raise UnstableSplit(f"a split side has {size} of {n} marked points; both need >= 2")
+    split = Split.__new__(Split)
+    split._set(ground, _complement(labels, ground) if labels[0] == 1 else tuple(labels))
     return split
 
 
@@ -321,15 +366,15 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
 
     One pass places the blocks in decreasing size, while ``owner`` maps
     each label to the smallest block placed so far that contains it, or to
-    the root.  Each placed block is at least as large as the current one,
-    so in a laminar family it either contains the current block or misses
-    it; the smallest one containing it owns all of its labels and is its
-    parent.  So the owner of its first label is its parent candidate, and
-    two mask tests check it: the block must lie inside the candidate and
-    miss the candidate's children placed so far; otherwise a crossing pair
-    is found.  At the end a label's owner is where its leaf hangs.  A
-    depth-first walk, children by smallest label, numbers the vertices and
-    fills the per-edge and per-vertex tables.
+    the root.  The placed blocks that contain a label form a chain, and each
+    is at least as large as the current block, so in a laminar family the
+    smallest one containing the current block owns all of its labels and is
+    its parent.  So the block is placed iff all of its labels have one
+    owner, which costs one read and one write per label: the whole pass is
+    linear in the labels of the blocks.  Otherwise two owners differ and one
+    of them crosses the block.  At the end a label's owner is where its
+    leaf hangs.  A depth-first walk, children by smallest label, numbers
+    the vertices and fills the per-edge and per-vertex tables.
 
     Raises IncompatibleSplits naming a crossing pair of the given splits
     when the system is not pairwise compatible.
@@ -341,25 +386,25 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
 
     # blocks are named by their index in `ordered`; index k is the root
     k = len(ordered)
-    masks = [s.block_mask for s in ordered] + [ground.full_mask]
-    sizes = [m.bit_count() for m in masks]
-    owner = dict.fromkeys(ground.labels, k)
+    blocks = list(map(_BLOCK, ordered))
+    owner = [k] * (ground.n + 1)  # by label; index 0 is unused
     up = [k] * k  # each block's parent block
-    inside = [0] * (k + 1)  # the union of each block's children placed so far
-    for i in sorted(range(k), key=sizes.__getitem__, reverse=True):
-        labels = ordered[i].block
+    for i in sorted(range(k), key=list(map(len, blocks)).__getitem__, reverse=True):
+        labels = blocks[i]
         j = owner[labels[0]]
-        mask = masks[i]
-        if mask & ~masks[j] or mask & inside[j]:
-            # j, or a block inside j that holds a label of this one, meets it
-            # without containing it, and is no smaller, so it crosses it
-            crossing = j if mask & ~masks[j] else next(
-                owner[lab] for lab in labels if owner[lab] != j
-            )
-            raise IncompatibleSplits(ordered[crossing], ordered[i])
+        owners = operator.itemgetter(*labels)(owner)  # every block has >= 2 labels
+        if owners.count(j) != len(owners):
+            # if `other` is j's ancestor (or the root), a label lies outside
+            # j and j crosses the block; otherwise `other` misses the first
+            # label, is no smaller than the block, and crosses it
+            other = next(o for o in owners if o != j)
+            a = j
+            while a != other and a != k:
+                a = up[a]
+            raise IncompatibleSplits(ordered[j if a == other else other], ordered[i])
         up[i] = j
-        inside[j] |= mask
-        owner.update(zip(labels, itertools.repeat(i)))
+        for lab in labels:
+            owner[lab] = i
 
     # children by index, which is by smallest label
     kids: list[list[int]] = [[] for _ in range(k + 1)]
@@ -380,11 +425,11 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     edge_ids += [(i, *kids[i]) for i in walk[1:]]
     # (parent, child) in `edges` order; the zip stops before the root's entry
     ends = tuple(zip(map(vid.__getitem__, up), vid))
-    # owner lists the labels in order; a list, since tuple() of a map has no
-    # length hint and would grow through the tuple free lists
-    leaf_at = list(map(vid.__getitem__, owner.values()))
+    # a list, since tuple() of a map has no length hint and would grow
+    # through the tuple free lists
+    leaf_at = list(map(vid.__getitem__, owner[1:]))
     leaves_at: list[list[int]] = [[] for _ in edge_ids]
-    for lab, v in zip(owner, leaf_at):
+    for lab, v in zip(ground.labels, leaf_at):
         leaves_at[v].append(lab)
     leaves = tuple(map(tuple, leaves_at))
     dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edge_ids, leaves)])

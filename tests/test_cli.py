@@ -282,6 +282,69 @@ def test_json_eval_reads_each_block_at_most_once(built_by, monkeypatch):
     assert out["stratum"]["splits"] == [list(ground.labels_of(e.block_mask)) for e in tree.edges]
 
 
+def reference_json(report):
+    # the renderer as one json.dumps of the whole payload, which fixes the
+    # layout that _json_output writes piece by piece
+    result = report.result
+    blocks = [row.split.block for row in report.edges]
+    payload = {
+        "n": report.product.ground.n,
+        "value": _digits(result.value),
+        "sign": result.sign,
+        "reason": result.reason,
+        "stratum": None if report.decorated is None else {"splits": blocks},
+        "edge_weights": [row.k for row in report.edges],
+        "vertex_dims": [row.dim for row in report.vertices],
+        "balanced": [],
+        "factors": {"edges": [], "vertices": []},
+    }
+    if result.weighting is not None:
+        payload["balanced"] = [
+            {"edge": block, "halves": list(row.halves)} for block, row in zip(blocks, report.edges)
+        ]
+        payload["factors"] = {
+            "edges": [_digits(row.factor) for row in report.edges],
+            "vertices": [_digits(row.factor) for row in report.vertices],
+        }
+    return json.dumps(payload) + "\n"
+
+
+def bench_gen():
+    # the benchmark's seeded generators, imported from the checkout
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(bench)
+    return gen
+
+
+def test_json_output_matches_one_json_dumps():
+    gen = bench_gen()
+    tree = gen.bushy_tree(2000, random.Random("ladder:2000"))
+    bushy = gen.make_instance("random", tree, "ok", random.Random(1), psi_share=0.3, vary=False)
+    cases = [
+        ("D{1,2} D{1,3}", 5, "empty"),
+        ("D{1,2}^3 D{5,6,7}", 7, "no_balance"),
+        (EXAMPLE, 15, "ok"),  # sign -1, labels up to 15
+        (bushy.text, 2000, "ok"),
+        # 5997! has more than _SPLIT_BITS bits
+        (" ".join(f"psi{i}" for i in range(1, 5998)), 6000, "ok"),
+    ]
+    cases += [(inst.text, inst.n, inst.reason)
+              for seed in (0, 7) for inst in gen.batch_small(seed, 200)]
+    seen, bits = set(), 0
+    for text, n, reason in cases:
+        report = _report(parse(text, n))
+        assert report.result.reason == reason
+        seen.add((reason, report.result.sign))
+        bits = max(bits, report.result.value.bit_length())
+        assert _json_output(report) == reference_json(report)
+    assert bits > _SPLIT_BITS
+    assert seen >= {("empty", 1), ("no_balance", 1), ("ok", 1), ("ok", -1)}
+
+
 
 @pytest.mark.parametrize("n_max, suite", [("-1", "all"), ("3", "flag"), ("2", "string")])
 def test_check_with_no_n_in_range_is_an_error(n_max, suite, capsys):
@@ -414,6 +477,23 @@ def test_reader_closing_stdout_early_exits_1():
     proc.stderr.close()
 
 
+def eval_in_600_mb(n, expr):
+    """``m0nbar eval --n n expr`` in a child whose address space is capped."""
+    resource = pytest.importorskip("resource")
+    limit = 600 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "m0nbar", "eval", "--n", str(n), expr],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "expr, code, message",
     [
@@ -424,19 +504,27 @@ def test_reader_closing_stdout_early_exits_1():
 def test_huge_n_ends_in_an_exit_code(expr, code, message):
     # the ground set costs O(1) memory at any n, so the degree check runs;
     # a product that does need memory per label runs out and exits 2
-    resource = pytest.importorskip("resource")
-    limit = 600 << 20
+    proc = eval_in_600_mb(100000000, expr)
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "m0nbar", "eval", "--n", "100000000", expr],
-        capture_output=True,
-        text=True,
-        preexec_fn=cap_memory,
-        timeout=120,
-    )
+@pytest.mark.parametrize(
+    "n, expr, code, message",
+    [
+        (2**62, "psi1", 3, "error: total degree 1 != n - 3"),
+        (2**63 - 2, "psi1", 3, "error: total degree 1 != n - 3"),
+        (2**63, "psi1", 3, "error: total degree 1 != n - 3"),
+        (10**30, "psi1", 3, "error: total degree 1 != n - 3"),
+        # the degree matches, but no machine holds a list of 2^62 labels
+        (2**62, f"psi1^{2**62 - 3}", 2, "error: out of memory"),
+        (2**63, f"psi1^{2**63 - 3}", 2, "error: out of memory"),
+    ],
+)
+def test_n_past_a_machine_word_ends_in_an_exit_code(n, expr, code, message):
+    # n is never taken by len(), which fails past sys.maxsize
+    proc = eval_in_600_mb(n, expr)
     assert proc.returncode == code
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr

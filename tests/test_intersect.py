@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from m0nbar.errors import DegreeMismatch, EdgeConditionFails, GroundMismatch
+from m0nbar.errors import DegreeMismatch, EdgeConditionFails, GroundMismatch, NotInternalEdge
 from m0nbar.intersect import (
     BLUE,
     EMPTY,
@@ -286,6 +286,35 @@ class TestProductToDecorated:
             BoundaryProduct(G5, {make_split(G5, {1, 2}): 0}, {})
         with pytest.raises(ValueError):
             BoundaryProduct(G5, {}, {1: 0})
+
+
+class TestDecoratedTree:
+    def test_weights_in_edge_order_and_in_any_order_agree(self, nine_point_tree):
+        tree = nine_point_tree
+        given = {e: k for k, e in enumerate(tree.edges)}
+        shuffled = dict(reversed(given.items()))
+        partial = {tree.edges[1]: 1, tree.edges[3]: 3}
+        for weights in (given, shuffled, partial):
+            decorated = DecoratedTree(tree, weights, {})
+            assert list(decorated.edge_weight) == list(tree.edges)
+            assert decorated.edge_weight == {e: weights.get(e, 0) for e in tree.edges}
+        # the decorated tree keeps its own copy
+        decorated = DecoratedTree(tree, given, {})
+        given[tree.edges[0]] = 5
+        assert decorated.edge_weight[tree.edges[0]] == 0
+
+    def test_foreign_edge_and_negative_weight_raise(self, nine_point_tree):
+        tree = nine_point_tree
+        foreign = make_split(G9, {2, 3})
+        assert foreign not in tree.splits
+        # as many weights as edges, one of them foreign
+        swapped = {foreign if i == 2 else e: 1 for i, e in enumerate(tree.edges)}
+        for weights in ({foreign: 1}, swapped):
+            with pytest.raises(NotInternalEdge):
+                DecoratedTree(tree, weights, {})
+        for weights in ({e: -1 for e in tree.edges}, {tree.edges[0]: -1}):
+            with pytest.raises(ValueError):
+                DecoratedTree(tree, weights, {})
 
 
 class TestStrataProduct:
