@@ -51,8 +51,8 @@ from .intersect import (
 )
 from .oracle import (
     FLAG_LIMIT,
+    _signed_total,
     compositions,
-    expansion_eval,
     flag_certify,
     random_decorated_tree,
     string_eq_psi_integral,
@@ -385,10 +385,9 @@ def _cmd_eval(args) -> int:
 
 
 def _coloring_steps(expr: Expression) -> list[str]:
-    divisors = []
-    for kind, payload, exponent in expr.factors:
-        if kind == "divisor" and exponent > 0 and payload not in divisors:
-            divisors.append(payload)
+    divisors = list(dict.fromkeys(
+        payload for kind, payload, exponent in expr.factors if kind == "divisor" and exponent > 0
+    ))
     if not divisors:
         return []
     # every edge of the growing tree, and every witness, is one of the divisors
@@ -508,7 +507,7 @@ def _run_expansion_suite(n_max: int, seed: int) -> list[dict]:
             decorated = random_decorated_tree(n, rng)
             result = evaluate(decorated)
             terms = surviving_decompositions(decorated)
-            ok = expansion_eval(decorated) == result.value and len(terms) <= 1
+            ok = _signed_total(decorated, terms) == result.value and len(terms) <= 1
             if result.weighting is not None:
                 ok = ok and evaluate_ratio(decorated) == result.value
             else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     DegreeMismatch,
@@ -171,20 +171,25 @@ def apply_coloring(coloring: Coloring) -> StableTree:
     return tree_from_splits(tree.ground, splits_of_links(tree.ground, links, leaf_node))
 
 
+def _meet(ground: MarkedSet, splits: Iterable[Split]) -> MeetResult:
+    try:
+        return tree_from_splits(ground, splits)
+    except IncompatibleSplits:
+        return EMPTY
+
+
 def meet_divisor(tree: StableTree, divisor: Split) -> MeetResult:
     """Intersect a stratum with a divisor.
 
-    EMPTY when some edge of the tree is incompatible with the divisor;
-    otherwise the stratum whose split system is the union (the tree itself
-    when the divisor is already one of its edges).
+    EMPTY when tree_from_splits finds an edge of the tree that crosses the
+    divisor; otherwise the stratum whose split system is the union (the
+    tree itself when the divisor is already one of its edges).
     """
     if tree.ground != divisor.ground:
         raise GroundMismatch("tree and divisor live on different ground sets")
     if divisor in tree.splits:
         return tree
-    if not all(_masks_compatible(e.block_mask, divisor.block_mask) for e in tree.edges):
-        return EMPTY
-    return tree_from_splits(tree.ground, (*tree.edges, divisor))
+    return _meet(tree.ground, (*tree.edges, divisor))
 
 
 def meet_all(trees: Sequence[StableTree]) -> MeetResult:
@@ -201,10 +206,7 @@ def meet_all(trees: Sequence[StableTree]) -> MeetResult:
         if t.ground != ground:
             raise GroundMismatch("strata live on different ground sets")
         union |= t.splits
-    try:
-        return tree_from_splits(ground, union)
-    except IncompatibleSplits:
-        return EMPTY
+    return _meet(ground, union)
 
 
 def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
@@ -257,8 +259,7 @@ class DecoratedTree:
     vertex contributes.  Edge weights count repeated divisor factors beyond
     the first, and ``edge_weight`` lists every edge in ``tree.edges`` order;
     psi weights sit on leaves, and ``vertex_psi`` holds each vertex's
-    (leaf, weight) pairs in vertex order, built once.  Weights given for
-    exactly the edges, in that order, are copied without a lookup.
+    (leaf, weight) pairs in vertex order, built once.
     """
 
     tree: StableTree
@@ -268,15 +269,11 @@ class DecoratedTree:
 
     def __post_init__(self):
         edges = self.tree.edges
-        weights = self.edge_weight
-        if len(weights) == len(edges) and all(map(operator.is_, weights, edges)):
-            weights = dict(weights)
-        else:
-            weights = dict.fromkeys(edges, 0)
-            for e, k in self.edge_weight.items():
-                if e not in weights:
-                    raise NotInternalEdge(f"{e} is not an edge of the decorated tree")
-                weights[e] = k
+        weights = dict.fromkeys(edges, 0)
+        weights.update(self.edge_weight)
+        if len(weights) > len(edges):
+            foreign = list(weights)[len(edges)]  # keys past the edges are not edges
+            raise NotInternalEdge(f"{foreign} is not an edge of the decorated tree")
         if weights and min(weights.values()) < 0:
             raise ValueError("edge weights must be >= 0")
         self.edge_weight = weights
@@ -327,13 +324,10 @@ def product_to_decorated(product: BoundaryProduct) -> DecorationResult:
             f"total degree {degree} != n - 3 = {n - 3} (n = {n}); "
             "the product does not land in dimension zero"
         )
-    try:
-        tree = tree_from_splits(product.ground, product.divisor_powers.keys())
-    except IncompatibleSplits:
+    tree = _meet(product.ground, product.divisor_powers.keys())
+    if tree is EMPTY:
         return EMPTY
-    # tree.edges holds the divisors themselves, so each is looked up once
-    powers = product.divisor_powers
-    weights = {e: powers[e] - 1 for e in tree.edges}
+    weights = {e: k - 1 for e, k in product.divisor_powers.items()}
     return DecoratedTree(tree, weights, dict(product.psi_powers))
 
 

@@ -85,9 +85,13 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[dict, int]]
 
 def expansion_eval(decorated: DecoratedTree) -> int:
     """Exact value by full expansion over per-edge decompositions."""
-    k_total = sum(decorated.edge_weight.values())
-    sign = -1 if k_total % 2 else 1
-    return sign * sum(c for _, c in surviving_decompositions(decorated))
+    return _signed_total(decorated, surviving_decompositions(decorated))
+
+
+def _signed_total(decorated: DecoratedTree, terms: list[tuple[dict, int]]) -> int:
+    # the expansion's own sign, (-1)^(total edge weight), never the evaluator's
+    sign = -1 if sum(decorated.edge_weight.values()) % 2 else 1
+    return sign * sum(c for _, c in terms)
 
 
 def string_eq_psi_integral(n: int, exponents: Mapping[int, int]) -> int:

@@ -237,10 +237,10 @@ class StableTree:
     __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_edge_ids",
                  "_leaf_at", "_dim")
 
-    def __init__(self, ground, edges, ends, dims, vertex_leaves, edge_ids, leaf_at):
+    def __init__(self, ground, edges, splits, ends, dims, vertex_leaves, edge_ids, leaf_at):
         self.ground = ground
         self.edges = edges
-        self.splits = frozenset(edges)
+        self.splits = splits
         self.ends = ends
         self.dims = dims
         self.vertex_leaves = vertex_leaves
@@ -379,7 +379,8 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     Raises IncompatibleSplits naming a crossing pair of the given splits
     when the system is not pairwise compatible.
     """
-    ordered = ordered_splits(set(splits))
+    splits = frozenset(splits)
+    ordered = ordered_splits(splits)
     for s in ordered:
         if s.ground is not ground and s.ground != ground:
             raise GroundMismatch(f"split {s} lives on 1..{s.ground.n}, not 1..{ground.n}")
@@ -434,7 +435,7 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     leaves = tuple(map(tuple, leaves_at))
     dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edge_ids, leaves)])
     assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
-    return StableTree(ground, ordered, ends, dims, leaves, tuple(edge_ids), leaf_at)
+    return StableTree(ground, ordered, splits, ends, dims, leaves, tuple(edge_ids), leaf_at)
 
 
 def splits_of_links(

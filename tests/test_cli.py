@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m0nbar import cli, oracle
 from m0nbar.cli import (
+    _EXPANSION_TRIALS,
     _SPLIT_BITS,
     Expression,
     _digits,
@@ -440,8 +442,20 @@ class TestCheck:
     def test_flag_suite(self, capsys):
         assert main(["check", "--suite", "flag", "--n-max", "5"]) == 0
 
-    def test_expansion_suite(self, capsys):
+    def test_expansion_suite(self, capsys, monkeypatch):
+        # each case enumerates its decompositions once, for both the oracle's
+        # signed sum and the term count
+        calls = []
+        enumerate_all = oracle.surviving_decompositions
+
+        def counted(decorated):
+            calls.append(decorated)
+            return enumerate_all(decorated)
+
+        for module in (cli, oracle):
+            monkeypatch.setattr(module, "surviving_decompositions", counted)
         assert main(["check", "--suite", "expansion", "--n-max", "5"]) == 0
+        assert len(calls) == 2 * _EXPANSION_TRIALS  # n = 4 and n = 5
 
     def test_json_report(self, capsys):
         assert main(["check", "--suite", "string", "--n-max", "5", "--format", "json"]) == 0

@@ -21,7 +21,7 @@ from m0nbar.intersect import (
     product_to_decorated,
     strata_product_to_decorated,
 )
-from m0nbar.oracle import random_decorated_tree
+from m0nbar.oracle import random_decorated_tree, random_stable_tree
 from m0nbar.trees import (
     MarkedSet,
     enumerate_stable_trees,
@@ -173,6 +173,33 @@ class TestMeetDivisor:
                         continue
                     assert met is not EMPTY
                     assert tree_equal(apply_coloring(coloring), met)
+
+    def test_meets_exactly_the_compatible_divisors_past_n_6(self):
+        rng = random.Random(12)
+        kinds = {True: 0, False: 0}
+        for n in range(10, 41):
+            for _ in range(4):
+                t = random_stable_tree(n, rng)
+                ground = t.ground
+                # a union of some branches at one vertex never crosses an
+                # edge; a random side almost always does at these sizes
+                v = rng.randrange(t.num_vertices)
+                branches = [t.branch(v, e)[1] for e in t.edges_at(v)]
+                branches += [(lab,) for lab in t.leaves_at(v)]
+                picked = rng.sample(branches, rng.randint(1, len(branches) - 2))
+                sides = [[lab for b in picked for lab in b]]
+                sides += [rng.sample(ground.labels, rng.randint(2, n - 2)) for _ in range(3)]
+                for side in sides:
+                    if len(side) < 2:
+                        continue  # a lone leaf is no split
+                    d = make_split(ground, side)
+                    meets = all(compatible(e, d) for e in t.edges)
+                    kinds[meets] += 1
+                    met = meet_divisor(t, d)
+                    assert (met is EMPTY) == (not meets)
+                    if meets:
+                        assert met.splits == t.splits | {d}
+        assert min(kinds.values()) > 50
 
 
 class TestMeetAll:
