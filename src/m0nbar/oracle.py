@@ -12,6 +12,7 @@ share one source of inputs.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -157,51 +158,78 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
 
     Runs over unordered pairs (self-pairs included) of strata of positive
     codimension on 1..n.  For each pair, the edgewise compatibility
-    predicate is compared against an independent witness: whether the union
-    of the two split systems occurs among the enumerated trees.  Since the
-    enumerated systems are closed under subsets, that membership test is
-    equivalent to searching for any enumerated coarsening containing both.
+    predicate ``flag_equivalence`` is compared against an independent
+    witness: whether the union of the two split systems occurs among the
+    enumerated trees.  Since the enumerated systems are closed under
+    subsets, that membership test is equivalent to searching for any
+    enumerated coarsening containing both.
+
+    Each enumerated split system is encoded once as an int, with bit ``m``
+    set for each block mask ``m``.  On one ground set a split is its block
+    mask, so the union of two systems is the OR of their ints, and the
+    witness is that OR's membership in the set of enumerated ints.
 
     With ``sample_limit`` set and fewer than the full number of pairs,
-    pairs are sampled reproducibly from ``seed``.  Guarded at 4 <= n <= 7.
+    ``sample_limit`` pairs are drawn reproducibly from ``seed``: the same
+    pairs, in the same order, as two ``random.Random(seed).randrange(count)``
+    calls per pair.  Discrepancies are listed in the order drawn.  Guarded
+    at 4 <= n <= 7.
     """
     if not 4 <= n <= FLAG_LIMIT:
         raise TooLarge(f"flag certification runs for 4 <= n <= {FLAG_LIMIT}, got {n}")
     strata = [t for t in enumerate_stable_trees(n) if t.codim >= 1]
-    systems = {t.splits for t in strata}
+    # a tree's splits have distinct masks, so the sum is the OR of the bits
+    own = [sum(1 << s.block_mask for s in t.edges) for t in strata]
+    systems = set(own)
     count = len(strata)
     total = count * (count + 1) // 2
     if sample_limit is not None and total > sample_limit:
-        rng = random.Random(seed)
-        pairs: Iterator = (
-            (strata[rng.randrange(count)], strata[rng.randrange(count)])
-            for _ in range(sample_limit)
-        )
+        pairs: Iterator[tuple[int, int]] = _sampled_pairs(random.Random(seed), count, sample_limit)
         checked = sample_limit
     else:
-        pairs = itertools.combinations_with_replacement(strata, 2)
+        pairs = itertools.combinations_with_replacement(range(count), 2)
         checked = total
     discrepancies = []
-    for t1, t2 in pairs:
-        pairwise = flag_equivalence(t1, t2)
-        realized = (t1.splits | t2.splits) in systems
-        if pairwise != realized:
+    for i, j in pairs:
+        t1 = strata[i]
+        t2 = strata[j]
+        if flag_equivalence(t1, t2) != ((own[i] | own[j]) in systems):
             discrepancies.append((t1, t2))
     return FlagReport(n, checked, tuple(discrepancies))
 
 
+def _sampled_pairs(rng: random.Random, count: int, limit: int) -> Iterator[tuple[int, int]]:
+    # The pairs (rng.randrange(count), rng.randrange(count)) yields, drawn
+    # lazily: CPython's randrange(count) for an int count > 0 is
+    # _randbelow_with_getrandbits, which draws count.bit_length() bits and
+    # rejects values >= count.  Calling getrandbits directly skips the
+    # argument checks of two calls per pair.
+    getrandbits = rng.getrandbits
+    k = count.bit_length()
+    for _ in range(limit):
+        i = getrandbits(k)
+        while i >= count:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= count:
+            j = getrandbits(k)
+        yield i, j
+
+
 def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of ``slots`` non-negative integers summing to ``total``."""
+    """All ordered tuples of ``slots`` non-negative integers summing to ``total``.
+
+    In lexicographic order, one tuple per stars-and-bars placement: the
+    running sums before each of the last ``slots - 1`` entries form a
+    non-decreasing sequence in 0..total, and the tuple is that sequence's
+    differences.  Sequences and tuples are in lexicographic order together.
+    """
     if slots == 0:
         if total == 0:
             yield ()
         return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, slots - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations_with_replacement(range(total + 1), slots - 1):
+        yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
 def random_stable_tree(n: int, rng: random.Random) -> StableTree:

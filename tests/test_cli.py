@@ -620,3 +620,47 @@ def test_arbitrary_text_fuzz(n, text):
     assert code in (0, 2, 3)
     if code:
         assert err.getvalue().startswith("error: ")
+
+
+@st.composite
+def check_or_enumerate(draw):
+    """argv for check or enumerate: small values that run, huge ones only past a guard."""
+    if draw(st.booleans()):
+        suite = draw(st.sampled_from(["expansion", "string", "flag", "all"]))
+        # every single suite refuses an n past its guard; "all" caps itself
+        # at the guards instead, so it would run them in full
+        if suite != "all" and draw(st.integers(0, 4)) == 0:
+            n_max = draw(st.integers(11, 10**30))
+        else:
+            n_max = draw(st.integers(-2, 6))
+        return ["check", "--suite", suite, "--n-max", str(n_max),
+                "--seed", str(draw(st.integers())),
+                "--format", draw(st.sampled_from(["json", "text"]))]
+    n = draw(st.integers(3, 7) | st.integers(10, 10**30))
+    argv = ["enumerate", "--n", str(n)]
+    if draw(st.booleans()):
+        argv += ["--codim", str(draw(st.integers(-3, 6)))]
+    if draw(st.booleans()):
+        argv.append("--count-only")
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(check_or_enumerate())
+def test_check_and_enumerate_fuzz_through_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ")
+        return
+    assert not err.getvalue()
+    if argv[0] == "check" or "--count-only" in argv:
+        assert out.getvalue()
+    else:
+        # a --codim no stratum has lists nothing and still exits 0
+        n = int(argv[2])
+        codim = int(argv[4]) if "--codim" in argv else 0
+        assert bool(out.getvalue()) == (0 <= codim <= n - 3)

@@ -1,15 +1,19 @@
 """The brute-force verifiers themselves."""
 
 import hashlib
+import itertools
 import math
 import random
+import time
 
 import pytest
 
+from m0nbar import oracle
 from m0nbar.combinat import multinomial
 from m0nbar.errors import BudgetExceeded, DegreeMismatch, TooLarge
 from m0nbar.intersect import BoundaryProduct, product_to_decorated
 from m0nbar.oracle import (
+    _sampled_pairs,
     compositions,
     expansion_eval,
     flag_certify,
@@ -18,7 +22,7 @@ from m0nbar.oracle import (
     string_eq_psi_integral,
     surviving_decompositions,
 )
-from m0nbar.trees import MarkedSet, make_split
+from m0nbar.trees import MarkedSet, enumerate_stable_trees, make_split
 from m0nbar.weights import balance
 
 # sha256 of the seeded random_stable_tree / random_decorated_tree streams
@@ -143,6 +147,39 @@ class TestFlagCertify:
         assert first.pairs_checked == second.pairs_checked == 500
         assert first.ok and second.ok
 
+    @pytest.mark.parametrize("count", [235, 2751])
+    @pytest.mark.parametrize("seed", [0, 42, -5, 2**70])
+    def test_sampled_pairs_are_the_randrange_pairs(self, count, seed):
+        # _sampled_pairs reads CPython's rejection sampler directly; this
+        # pins it to randrange on whichever interpreter runs the tests
+        rng = random.Random(seed)
+        expected = [(rng.randrange(count), rng.randrange(count)) for _ in range(2000)]
+        assert list(_sampled_pairs(random.Random(seed), count, 2000)) == expected
+
+    def test_a_predicate_that_always_meets_is_caught(self, monkeypatch):
+        monkeypatch.setattr(oracle, "flag_equivalence", lambda t1, t2: True)
+
+        def unrealized(strata, pairs):
+            # the witness as it was first written: the frozenset union of
+            # the two split systems, looked up among the enumerated systems
+            systems = {t.splits for t in strata}
+            return tuple((t1, t2) for t1, t2 in pairs if (t1.splits | t2.splits) not in systems)
+
+        strata = [t for t in enumerate_stable_trees(5) if t.codim >= 1]
+        report = flag_certify(5)
+        assert report.pairs_checked == len(strata) * (len(strata) + 1) // 2
+        expected = unrealized(strata, itertools.combinations_with_replacement(strata, 2))
+        assert expected and report.discrepancies == expected
+
+        strata = [t for t in enumerate_stable_trees(6) if t.codim >= 1]
+        rng = random.Random(3)
+        count = len(strata)
+        drawn = [(strata[rng.randrange(count)], strata[rng.randrange(count)]) for _ in range(500)]
+        report = flag_certify(6, sample_limit=500, seed=3)
+        assert report.pairs_checked == 500
+        expected = unrealized(strata, drawn)
+        assert expected and report.discrepancies == expected
+
     def test_guard(self):
         with pytest.raises(TooLarge):
             flag_certify(3)
@@ -185,3 +222,35 @@ class TestGenerators:
         for total, slots in ((3, 4), (5, 3), (0, 4)):
             expected = math.comb(total + slots - 1, slots - 1)
             assert sum(1 for _ in compositions(total, slots)) == expected
+
+    @staticmethod
+    def _recursive_compositions(total, slots):
+        # the reference order: each first entry, then the compositions of the rest
+        if slots == 0:
+            if total == 0:
+                yield ()
+            return
+        if slots == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in TestGenerators._recursive_compositions(total - first, slots - 1):
+                yield (first,) + rest
+
+    def test_compositions_keep_the_recursive_order(self):
+        for total in range(-2, 7):
+            for slots in range(0, 7):
+                assert list(compositions(total, slots)) == list(
+                    self._recursive_compositions(total, slots)
+                ), (total, slots)
+
+    def test_compositions_of_many_slots(self):
+        # slots cost no recursion depth, and each tuple costs O(slots) work
+        # in C: a generator nested per slot raises at 5000 and takes about
+        # 3.5 s to list the 20,100 tuples of 200 slots
+        assert list(compositions(0, 5000)) == [(0,) * 5000]
+        start = time.perf_counter()
+        assert sum(1 for _ in compositions(2, 200)) == math.comb(201, 2)
+        assert time.perf_counter() - start < 1.5
+        head = list(itertools.islice(compositions(2, 2000), 3))
+        assert head == [(0,) * 1998 + (0, 2), (0,) * 1998 + (1, 1), (0,) * 1998 + (2, 0)]
