@@ -59,7 +59,7 @@ from .oracle import (
     surviving_decompositions,
 )
 from .trees import MarkedSet, Split, enumerate_stable_trees, split_of_side, tree_from_splits
-from .weights import EvalResult, balance, evaluate, evaluate_ratio
+from .weights import EvalResult, _ratio, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
 # a block's labels and commas, matched as one run; parse() cuts it before an
@@ -490,8 +490,7 @@ def _run_string_suite(n_max: int) -> list[dict]:
         checked = failures = 0
         for vec in compositions(n - 3, n):
             checked += 1
-            exps = {i + 1: k for i, k in enumerate(vec)}
-            if string_eq_psi_integral(n, exps) != multinomial(n - 3, vec):
+            if string_eq_psi_integral(n, dict(enumerate(vec, 1))) != multinomial(n - 3, vec):
                 failures += 1
         rows.append({"suite": "string", "n": n, "checked": checked, "failures": failures})
     return rows
@@ -509,7 +508,7 @@ def _run_expansion_suite(n_max: int, seed: int) -> list[dict]:
             terms = surviving_decompositions(decorated)
             ok = _signed_total(decorated, terms) == result.value and len(terms) <= 1
             if result.weighting is not None:
-                ok = ok and evaluate_ratio(decorated) == result.value
+                ok = ok and _ratio(result.weighting) == result.value
             else:
                 ok = ok and result.value == 0
             if not ok:

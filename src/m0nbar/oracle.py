@@ -106,12 +106,13 @@ def string_eq_psi_integral(n: int, exponents: Mapping[int, int]) -> int:
     """
     if n < 3:
         raise ValueError(f"need n >= 3 marked points, got {n}")
-    if any(k < 0 for k in exponents.values()):
+    values = exponents.values()
+    if values and min(values) < 0:
         raise ValueError("psi exponents must be non-negative")
-    total = sum(exponents.values())
+    total = sum(values)
     if total != n - 3:
         raise DegreeMismatch(f"psi degrees sum to {total}, need n - 3 = {n - 3}")
-    return _string_recursion(tuple(sorted(k for k in exponents.values() if k > 0)))
+    return _string_recursion(tuple(sorted(filter(None, values))))
 
 
 # Bounded: a check suite asks for the same few exponent multisets over and
@@ -179,7 +180,7 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
         raise TooLarge(f"flag certification runs for 4 <= n <= {FLAG_LIMIT}, got {n}")
     strata = [t for t in enumerate_stable_trees(n) if t.codim >= 1]
     # a tree's splits have distinct masks, so the sum is the OR of the bits
-    own = [sum(1 << s.block_mask for s in t.edges) for t in strata]
+    own = [sum(1 << m for m in t.block_masks) for t in strata]
     systems = set(own)
     count = len(strata)
     total = count * (count + 1) // 2

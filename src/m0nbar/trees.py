@@ -229,13 +229,15 @@ class StableTree:
     looking edges up.  Privately each vertex lists the indices of its edges,
     the one toward vertex 0 first, and label i's vertex sits at index i - 1
     of the leaf table.  An edge is found by one bisection of ``edges``.
+    ``block_masks`` holds each edge's ``block_mask`` in ``edges`` order; it
+    is built on first read, so a tree whose masks nobody reads builds none.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
     __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_edge_ids",
-                 "_leaf_at", "_dim")
+                 "_leaf_at", "_dim", "block_masks")
 
     def __init__(self, ground, edges, splits, ends, dims, vertex_leaves, edge_ids, leaf_at):
         self.ground = ground
@@ -263,6 +265,15 @@ class StableTree:
     @property
     def dim(self) -> int:
         return self._dim
+
+    def __getattr__(self, name):
+        # called only when the normal lookup fails, as it does for the
+        # block_masks slot until its first read fills it: every later read
+        # is a plain slot load
+        if name != "block_masks":
+            raise AttributeError(f"'StableTree' object has no attribute '{name}'")
+        masks = self.block_masks = tuple(s.block_mask for s in self.edges)
+        return masks
 
     def edges_at(self, v: int) -> tuple[Split, ...]:
         return tuple(map(self.edges.__getitem__, self._edge_ids[v]))

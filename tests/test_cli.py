@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m0nbar import cli, oracle
+from m0nbar import cli, oracle, weights
 from m0nbar.cli import (
     _EXPANSION_TRIALS,
     _SPLIT_BITS,
@@ -322,6 +322,20 @@ def bench_gen():
     return gen
 
 
+def test_report_at_large_n_builds_no_mask():
+    # the evaluation path reads blocks as labels: a stratum-large tree keeps
+    # its block_masks slot unset and no edge caches a block_mask
+    gen = bench_gen()
+    tree = gen.bushy_tree(2000, random.Random("ladder:2000"))
+    bushy = gen.make_instance("random", tree, "ok", random.Random(1), psi_share=0.3, vary=False)
+    report = cli._report(cli.parse(bushy.text, 2000))
+    tree = report.decorated.tree
+    assert report.result.reason == "ok" and tree.codim > 1000
+    with pytest.raises(AttributeError):
+        object.__getattribute__(tree, "block_masks")
+    assert not any("block_mask" in vars(e) for e in tree.edges)
+
+
 def test_json_output_matches_one_json_dumps():
     gen = bench_gen()
     tree = gen.bushy_tree(2000, random.Random("ladder:2000"))
@@ -454,6 +468,19 @@ class TestCheck:
 
         for module in (cli, oracle):
             monkeypatch.setattr(module, "surviving_decompositions", counted)
+        assert main(["check", "--suite", "expansion", "--n-max", "5"]) == 0
+        assert len(calls) == 2 * _EXPANSION_TRIALS  # n = 4 and n = 5
+
+    def test_expansion_suite_balances_once_per_trial(self, capsys, monkeypatch):
+        # the ratio check reuses the weighting evaluate() found
+        calls = []
+        balance = weights.balance
+
+        def counted(decorated, trace=None):
+            calls.append(decorated)
+            return balance(decorated, trace)
+
+        monkeypatch.setattr(weights, "balance", counted)
         assert main(["check", "--suite", "expansion", "--n-max", "5"]) == 0
         assert len(calls) == 2 * _EXPANSION_TRIALS  # n = 4 and n = 5
 

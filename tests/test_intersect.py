@@ -273,6 +273,38 @@ class TestFlagEquivalence:
             assert flag_equivalence(t1, t2) == witnessed
 
 
+    def test_matches_all_pairs_compatible_on_random_pairs(self):
+        # sizes flag_certify never reaches; a tree and a coarsening of it
+        # always meet, so both outcomes are tested
+        rng = random.Random(8)
+        seen = set()
+        for n in range(8, 31):
+            ground = MarkedSet.range(n)
+            for _ in range(20):
+                t1 = random_stable_tree(n, rng)
+                t2 = random_stable_tree(n, rng)
+                coarser = tree_from_splits(ground, rng.sample(t1.edges, len(t1.edges) // 2))
+                for a, b in ((t1, t2), (t2, t1), (t1, coarser), (coarser, t2)):
+                    expected = all(compatible(s1, s2) for s1 in a.edges for s2 in b.edges)
+                    assert flag_equivalence(a, b) == expected
+                    seen.add(expected)
+        assert seen == {True, False}
+
+    def test_matches_all_pairs_compatible_on_every_five_point_pair(self):
+        trees = list(enumerate_stable_trees(5))
+        for t1, t2 in itertools.product(trees, repeat=2):
+            expected = all(compatible(s1, s2) for s1 in t1.edges for s2 in t2.edges)
+            assert flag_equivalence(t1, t2) == expected
+
+    def test_ground_mismatch(self):
+        t5 = tree_from_splits(G5, (make_split(G5, {1, 2}),))
+        t6 = tree_from_splits(G6, (make_split(G6, {1, 2}),))
+        with pytest.raises(GroundMismatch):
+            flag_equivalence(t5, t6)
+        with pytest.raises(GroundMismatch):
+            flag_equivalence(tree_from_splits(G6, ()), t5)
+
+
 class TestProductToDecorated:
     def test_fifteen_point_decoration(self, example_product):
         decorated = product_to_decorated(example_product)

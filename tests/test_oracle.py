@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import types
 
 import pytest
 
@@ -121,6 +122,25 @@ class TestStringEquation:
     def test_degree_enforcement(self):
         with pytest.raises(DegreeMismatch):
             string_eq_psi_integral(6, {1: 1})
+
+    def test_zero_exponents_are_ignored(self):
+        assert string_eq_psi_integral(3, {1: 0, 2: 0, 3: 0}) == 1
+        assert string_eq_psi_integral(6, {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0}) == 6
+        assert string_eq_psi_integral(7, {2: 0, 5: 4, 7: 0}) == 1
+
+    def test_negative_exponent_is_rejected_before_the_degree(self):
+        # the degree is wrong in the first case and right in the second
+        for exps in ({1: -1}, {1: 4, 2: -1}):
+            with pytest.raises(ValueError, match="non-negative"):
+                string_eq_psi_integral(6, exps)
+        with pytest.raises(DegreeMismatch):
+            string_eq_psi_integral(5, {})
+
+    def test_read_only_mapping(self):
+        exps = types.MappingProxyType({1: 2, 2: 1, 3: 0})
+        assert string_eq_psi_integral(6, exps) == 3
+        with pytest.raises(ValueError):
+            string_eq_psi_integral(6, types.MappingProxyType({1: -1, 2: 4}))
 
     def test_one_point_carries_everything_at_600_points(self):
         # 597 forgetting steps in a row, past the default recursion limit

@@ -274,6 +274,39 @@ class TestSplitOfEdge:
                 split_of_edge(t, foreign)
 
 
+def mask_slot_is_unset(tree):
+    # the slot itself, read past StableTree.__getattr__, which would fill it
+    try:
+        object.__getattribute__(tree, "block_masks")
+    except AttributeError:
+        return True
+    return False
+
+
+class TestBlockMasks:
+    def test_edge_masks_of_every_enumerated_tree(self):
+        for n in range(3, 8):
+            for t in enumerate_stable_trees(n):
+                assert t.block_masks == tuple(s.block_mask for s in t.edges)
+
+    def test_edge_masks_of_random_trees(self):
+        rng = random.Random(14)
+        for n in range(4, 41):
+            for _ in range(3):
+                t = random_stable_tree(n, rng)
+                assert t.block_masks == tuple(s.block_mask for s in t.edges)
+
+    def test_built_on_first_read_only(self):
+        ground = MarkedSet.range(9)
+        t = tree_from_splits(ground, [make_split(ground, {2, 3}), make_split(ground, {4, 5, 6})])
+        assert mask_slot_is_unset(t)
+        masks = t.block_masks
+        assert masks == (0b110, 0b111000)
+        assert not mask_slot_is_unset(t) and t.block_masks is masks
+        with pytest.raises(AttributeError, match="no attribute 'block_mask'"):
+            t.block_mask
+
+
 class TestTreeEqual:
     def test_reflexive_and_order_blind(self):
         splits = (make_split(G5, {1, 2}), make_split(G5, {4, 5}))
