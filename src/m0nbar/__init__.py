@@ -6,6 +6,9 @@ product of multinomial coefficients read off a balanced weighting of the
 underlying stable tree, or to zero when the strata do not meet or the
 weights do not balance.  Everything is exact integer arithmetic, and every
 step has an independent brute-force verifier in :mod:`m0nbar.oracle`.
+
+The oracle's names are imported on first use, so evaluating a product
+never loads it.
 """
 
 from . import errors
@@ -25,16 +28,6 @@ from .intersect import (
     meet_divisor,
     product_to_decorated,
     strata_product_to_decorated,
-)
-from .oracle import (
-    FlagReport,
-    compositions,
-    expansion_eval,
-    flag_certify,
-    random_decorated_tree,
-    random_stable_tree,
-    string_eq_psi_integral,
-    surviving_decompositions,
 )
 from .trees import (
     MarkedSet,
@@ -100,3 +93,30 @@ __all__ = [
     "tree_equal",
     "tree_from_splits",
 ]
+
+# the names m0nbar.oracle provides; importing it is left to first access
+_ORACLE_NAMES = frozenset({
+    "FlagReport",
+    "compositions",
+    "expansion_eval",
+    "flag_certify",
+    "random_decorated_tree",
+    "random_stable_tree",
+    "string_eq_psi_integral",
+    "surviving_decompositions",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES or name == "oracle":
+        import importlib
+
+        # "from . import oracle" would look the name up here first, and recurse
+        oracle = importlib.import_module(".oracle", __name__)
+        globals().update((n, getattr(oracle, n)) for n in _ORACLE_NAMES)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES, "oracle"})

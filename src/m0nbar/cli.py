@@ -28,10 +28,8 @@ import itertools
 import json
 import operator
 import os
-import random
 import re
 import sys
-from dataclasses import dataclass
 
 from .combinat import multinomial
 from .errors import (
@@ -49,15 +47,6 @@ from .intersect import (
     meet_divisor,
     product_to_decorated,
 )
-from .oracle import (
-    FLAG_LIMIT,
-    _signed_total,
-    compositions,
-    flag_certify,
-    random_decorated_tree,
-    string_eq_psi_integral,
-    surviving_decompositions,
-)
 from .trees import MarkedSet, Split, enumerate_stable_trees, split_of_side, tree_from_splits
 from .weights import EvalResult, _ratio, balance, evaluate
 
@@ -70,17 +59,21 @@ _SEPARATOR = re.compile(r"\s*(\*)?\s*")
 # it refuses leading zeros, which int() reads
 _scan_json = json.JSONDecoder().scan_once
 
-_CHECK_GUARDS = {"expansion": 8, "string": 10, "flag": FLAG_LIMIT}
+# the largest n each check suite runs at; the flag suite's is oracle.FLAG_LIMIT
+_EXPANSION_LIMIT = 8
+_STRING_LIMIT = 10
 _FLAG_SAMPLE = 100_000
 _EXPANSION_TRIALS = 300
 
 
-@dataclass(frozen=True)
-class Expression:
-    """A parsed product: the marked-point count and the factor sequence."""
+class Expression(collections.namedtuple("Expression", "n factors")):
+    """A parsed product: the marked-point count and the factor sequence.
 
-    n: int
-    factors: tuple[tuple[str, object, int], ...]
+    Each factor is a (kind, payload, exponent) triple: ("divisor", Split, k)
+    or ("psi", label, k).
+    """
+
+    __slots__ = ()
 
 
 def parse(text: str, n: int) -> Expression:
@@ -374,7 +367,11 @@ def _dot_output(report: _Report) -> str:
 
 
 def _read_expression(args) -> Expression:
-    text = args.expr if args.expr is not None else sys.stdin.read()
+    if args.expr is not None:
+        text = args.expr
+    else:
+        # a closed standard input (sys.stdin is None) reads as empty
+        text = sys.stdin.read() if sys.stdin is not None else ""
     return parse(text, args.n)
 
 
@@ -470,9 +467,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _run_flag_suite(n_max: int, seed: int) -> list[dict]:
+    from . import oracle
+
     rows = []
-    for n in range(4, min(n_max, _CHECK_GUARDS["flag"]) + 1):
-        report = flag_certify(n, sample_limit=_FLAG_SAMPLE, seed=seed)
+    for n in range(4, min(n_max, oracle.FLAG_LIMIT) + 1):
+        report = oracle.flag_certify(n, sample_limit=_FLAG_SAMPLE, seed=seed)
         rows.append(
             {
                 "suite": "flag",
@@ -485,28 +484,35 @@ def _run_flag_suite(n_max: int, seed: int) -> list[dict]:
 
 
 def _run_string_suite(n_max: int) -> list[dict]:
+    from . import oracle
+
     rows = []
-    for n in range(3, min(n_max, _CHECK_GUARDS["string"]) + 1):
+    integral = oracle.string_eq_psi_integral
+    for n in range(3, min(n_max, _STRING_LIMIT) + 1):
         checked = failures = 0
-        for vec in compositions(n - 3, n):
+        for vec in oracle.compositions(n - 3, n):
             checked += 1
-            if string_eq_psi_integral(n, dict(enumerate(vec, 1))) != multinomial(n - 3, vec):
+            if integral(n, dict(enumerate(vec, 1))) != multinomial(n - 3, vec):
                 failures += 1
         rows.append({"suite": "string", "n": n, "checked": checked, "failures": failures})
     return rows
 
 
 def _run_expansion_suite(n_max: int, seed: int) -> list[dict]:
+    import random
+
+    from . import oracle
+
     rows = []
     rng = random.Random(seed)
-    for n in range(4, min(n_max, _CHECK_GUARDS["expansion"]) + 1):
+    for n in range(4, min(n_max, _EXPANSION_LIMIT) + 1):
         checked = failures = 0
         for _ in range(_EXPANSION_TRIALS):
             checked += 1
-            decorated = random_decorated_tree(n, rng)
+            decorated = oracle.random_decorated_tree(n, rng)
             result = evaluate(decorated)
-            terms = surviving_decompositions(decorated)
-            ok = _signed_total(decorated, terms) == result.value and len(terms) <= 1
+            terms = oracle.surviving_decompositions(decorated)
+            ok = oracle._signed_total(decorated, terms) == result.value and len(terms) <= 1
             if result.weighting is not None:
                 ok = ok and _ratio(result.weighting) == result.value
             else:
@@ -518,9 +524,13 @@ def _run_expansion_suite(n_max: int, seed: int) -> list[dict]:
 
 
 def _cmd_check(args) -> int:
-    if args.suite != "all" and args.n_max > _CHECK_GUARDS[args.suite]:
+    # check is the one command that runs the oracle, so only it imports it
+    from . import oracle
+
+    guards = {"expansion": _EXPANSION_LIMIT, "string": _STRING_LIMIT, "flag": oracle.FLAG_LIMIT}
+    if args.suite != "all" and args.n_max > guards[args.suite]:
         raise TooLarge(
-            f"suite '{args.suite}' is guarded at n <= {_CHECK_GUARDS[args.suite]}, "
+            f"suite '{args.suite}' is guarded at n <= {guards[args.suite]}, "
             f"got --n-max {args.n_max}"
         )
     rows: list[dict] = []
@@ -606,6 +616,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if sys.stdout is None:
+        # standard output was closed before the start (>&-), so nothing can
+        # be written: the exit of a reader that closes it early
+        raise SystemExit(1)
     try:
         status = main()
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown

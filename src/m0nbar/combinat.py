@@ -5,7 +5,7 @@ rounded or truncated.
 """
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import PartsMismatch
 

@@ -12,9 +12,9 @@ is reported through the EMPTY sentinel rather than an exception.
 
 from __future__ import annotations
 
+import collections
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -55,7 +55,7 @@ class _EmptyIntersection:
 
 EMPTY = _EmptyIntersection()
 
-MeetResult = Union[StableTree, _EmptyIntersection]
+MeetResult = StableTree | _EmptyIntersection
 
 
 def _masks_compatible(a: int, b: int) -> bool:
@@ -76,20 +76,17 @@ def compatible(s1: Split, s2: Split) -> bool:
     return _masks_compatible(s1.block_mask, s2.block_mask)
 
 
-@dataclass
-class Coloring:
+class Coloring(collections.namedtuple("Coloring", "tree edge_colors leaf_colors split_vertex")):
     """Blue/red classification of a tree against a divisor.
 
     Blue marks everything on the side of the divisor's canonical block;
     red marks the other side.  split_vertex is the vertex at which every
     branch is monochromatic, i.e. where the divisor either inserts a new
-    edge or already matches an existing one.
+    edge or already matches an existing one.  ``edge_colors`` maps each
+    edge (a Split) and ``leaf_colors`` each label to BLUE or RED.
     """
 
-    tree: StableTree
-    edge_colors: dict[Split, str]
-    leaf_colors: dict[int, str]
-    split_vertex: int
+    __slots__ = ()
 
 
 def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
@@ -229,33 +226,41 @@ def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
     return True
 
 
-@dataclass
 class BoundaryProduct:
     """A formal product of boundary-divisor powers and psi-class powers."""
 
-    ground: MarkedSet
-    divisor_powers: dict[Split, int]
-    psi_powers: dict[int, int]
-
-    def __post_init__(self):
-        for s, k in self.divisor_powers.items():
-            if s.ground != self.ground:
+    def __init__(self, ground: MarkedSet, divisor_powers: dict[Split, int],
+                 psi_powers: dict[int, int]):
+        for s, k in divisor_powers.items():
+            if s.ground != ground:
                 raise GroundMismatch(f"divisor {s} lives on a different ground set")
             if k < 1:
                 raise ValueError("divisor exponents must be >= 1")
-        n = self.ground.n
-        for lab, k in self.psi_powers.items():
+        n = ground.n
+        for lab, k in psi_powers.items():
             if not 0 < operator.index(lab) <= n:
                 raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
             if k < 1:
                 raise ValueError("psi exponents must be >= 1")
+        self.ground = ground
+        self.divisor_powers = divisor_powers
+        self.psi_powers = psi_powers
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ground, self.divisor_powers, self.psi_powers)
+                == (other.ground, other.divisor_powers, other.psi_powers))
+
+    def __repr__(self):
+        return (f"BoundaryProduct(ground={self.ground!r}, "
+                f"divisor_powers={self.divisor_powers!r}, psi_powers={self.psi_powers!r})")
 
     @property
     def total_degree(self) -> int:
         return sum(self.divisor_powers.values()) + sum(self.psi_powers.values())
 
 
-@dataclass
 class DecoratedTree:
     """A stratum with edge weights and psi weights: the evaluator's input.
 
@@ -263,18 +268,16 @@ class DecoratedTree:
     vertex contributes.  Edge weights count repeated divisor factors beyond
     the first, and ``edge_weight`` lists every edge in ``tree.edges`` order;
     psi weights sit on leaves, and ``vertex_psi`` holds each vertex's
-    (leaf, weight) pairs in vertex order, built once.
+    (leaf, weight) pairs in vertex order, built once; equality and the repr
+    leave it out, since it follows from the other fields.
     """
 
-    tree: StableTree
-    edge_weight: dict[Split, int]
-    psi_weight: dict[int, int]
-    vertex_psi: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        edges = self.tree.edges
+    def __init__(self, tree: StableTree, edge_weight: dict[Split, int],
+                 psi_weight: dict[int, int]):
+        self.tree = tree
+        edges = tree.edges
         weights = dict.fromkeys(edges, 0)
-        weights.update(self.edge_weight)
+        weights.update(edge_weight)
         if len(weights) > len(edges):
             foreign = list(weights)[len(edges)]  # keys past the edges are not edges
             raise NotInternalEdge(f"{foreign} is not an edge of the decorated tree")
@@ -284,18 +287,28 @@ class DecoratedTree:
         psi: dict[int, int] = {}
         # labels ascend, and so do each vertex's leaves
         at: dict[int, list[tuple[int, int]]] = {}
-        for lab in sorted(self.psi_weight):
-            k = self.psi_weight[lab]
-            v = self.tree.leaf_vertex(lab)
+        for lab in sorted(psi_weight):
+            k = psi_weight[lab]
+            v = tree.leaf_vertex(lab)
             if k < 0:
                 raise ValueError("psi weights must be >= 0")
             if k:
                 psi[lab] = k
                 at.setdefault(v, []).append((lab, k))
         self.psi_weight = psi
-        self.vertex_psi = [()] * self.tree.num_vertices
+        self.vertex_psi = [()] * tree.num_vertices
         for v, pairs in at.items():
             self.vertex_psi[v] = tuple(pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.tree, self.edge_weight, self.psi_weight)
+                == (other.tree, other.edge_weight, other.psi_weight))
+
+    def __repr__(self):
+        return (f"DecoratedTree(tree={self.tree!r}, edge_weight={self.edge_weight!r}, "
+                f"psi_weight={self.psi_weight!r})")
 
     def vertex_dim(self, v: int) -> int:
         return self.tree.dims[v]
@@ -309,7 +322,7 @@ class DecoratedTree:
         return sum(self.edge_weight.values()) + sum(self.psi_weight.values())
 
 
-DecorationResult = Union[DecoratedTree, _EmptyIntersection]
+DecorationResult = DecoratedTree | _EmptyIntersection
 
 
 def product_to_decorated(product: BoundaryProduct) -> DecorationResult:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
-from typing import Iterator, Mapping
 
 from .combinat import multinomial
 from .errors import BudgetExceeded, DegreeMismatch, DimensionUnbalanced, TooLarge
@@ -141,13 +140,15 @@ def _string_recursion(root: tuple[int, ...]) -> int:
     return memo[root]
 
 
-@dataclass
-class FlagReport:
-    """Outcome of comparing compatibility against coarsening search."""
+class FlagReport(namedtuple("FlagReport", "n pairs_checked discrepancies")):
+    """Outcome of comparing compatibility against coarsening search.
 
-    n: int
-    pairs_checked: int
-    discrepancies: tuple[tuple[StableTree, StableTree], ...]
+    ``discrepancies`` holds the (StableTree, StableTree) pairs on which the
+    two sides disagree.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # compared by value, never used as a key
 
     @property
     def ok(self) -> bool:

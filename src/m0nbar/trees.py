@@ -22,8 +22,7 @@ import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     GroundMismatch,
@@ -41,20 +40,17 @@ ENUMERATION_LIMIT = 9
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
 class MarkedSet:
     """The marked-point labels 1..n.
 
     ``labels`` is ``range(1, n + 1)``, and label ``i`` is bit ``i - 1`` of
     a mask.  The constructor accepts 1..n in any order and nothing else.
     ``n`` is stored, since every Split reads it; ``full_mask`` is computed
-    on first use, so the ground set costs O(1) memory at any n.
+    on first use, so the ground set costs O(1) memory at any n.  Instances
+    are frozen: equality and the hash read ``labels`` alone.
     """
 
-    labels: range
-
-    def __post_init__(self):
-        labels = self.labels
+    def __init__(self, labels: range):
         if isinstance(labels, range) and labels.start == 1 and labels.step == 1:
             # len() of a range fails past sys.maxsize labels
             n = max(labels.stop - 1, 0)
@@ -62,12 +58,29 @@ class MarkedSet:
             n = len(labels)
         if n < 3:
             raise ValueError("stability needs at least 3 marked points")
-        labels = range(1, n + 1)
+        ground = range(1, n + 1)
         # a range compares without being listed, so MarkedSet.range is O(1)
-        if self.labels != labels and sorted(self.labels) != list(labels):
+        if labels != ground and sorted(labels) != list(ground):
             raise ValueError(f"the labels must be 1..{n}, each once")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", ground)
         object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen MarkedSet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen MarkedSet")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.labels,))
+
+    def __repr__(self):
+        return f"MarkedSet(labels={self.labels!r})"
 
     @functools.cached_property
     def full_mask(self) -> int:

@@ -10,11 +10,11 @@ coefficient per edge and per vertex.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .combinat import factorial, multinomial
 from .errors import DegreeMismatch, DimensionUnbalanced, NoBalanceGiven
@@ -22,8 +22,7 @@ from .intersect import DecoratedTree
 from .trees import Split
 
 
-@dataclass
-class BalancedWeighting:
+class BalancedWeighting(collections.namedtuple("BalancedWeighting", "decorated halves parts")):
     """The unique half-edge weight decomposition.
 
     ``halves`` holds each edge's (parent half, child half) in
@@ -31,9 +30,7 @@ class BalancedWeighting:
     vertex order.  ``half_weight`` keys the same numbers by (vertex, edge).
     """
 
-    decorated: DecoratedTree
-    halves: list[tuple[int, int]]
-    parts: list[list[int]]
+    # no __slots__: half_weight is cached in the instance's __dict__
 
     @functools.cached_property
     def half_weight(self) -> dict[tuple[int, Split], int]:
@@ -48,28 +45,26 @@ class BalancedWeighting:
         return self.half_weight[(v, e)]
 
 
-@dataclass
-class EvalResult:
+class EvalResult(collections.namedtuple(
+        "EvalResult", "value sign edge_factors vertex_factors weighting reason")):
     """Outcome of an evaluation.
 
     value == sign * product of all factors when a weighting is present;
     value == 0 otherwise, with ``reason`` telling whether the strata do not
     meet ("empty") or the weights do not balance ("no_balance").
+    ``edge_factors`` holds (Split, factor) pairs and ``vertex_factors``
+    (vertex, factor) pairs; ``weighting`` is a BalancedWeighting or None.
     """
 
-    value: int
-    sign: int
-    edge_factors: tuple[tuple[Split, int], ...]
-    vertex_factors: tuple[tuple[int, int], ...]
-    weighting: Optional[BalancedWeighting]
-    reason: str
+    __slots__ = ()
+    __hash__ = None  # a weighting holds lists, so no result hashes
 
     @classmethod
     def empty_intersection(cls) -> "EvalResult":
         return cls(0, 1, (), (), None, "empty")
 
 
-def balance(decorated: DecoratedTree, trace: list | None = None) -> Optional[BalancedWeighting]:
+def balance(decorated: DecoratedTree, trace: list | None = None) -> BalancedWeighting | None:
     """Find the balanced weighting, or None when no valid one exists.
 
     Peels greedily: any vertex with exactly one unresolved edge must send

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -466,8 +467,7 @@ class TestCheck:
             calls.append(decorated)
             return enumerate_all(decorated)
 
-        for module in (cli, oracle):
-            monkeypatch.setattr(module, "surviving_decompositions", counted)
+        monkeypatch.setattr(oracle, "surviving_decompositions", counted)
         assert main(["check", "--suite", "expansion", "--n-max", "5"]) == 0
         assert len(calls) == 2 * _EXPANSION_TRIALS  # n = 4 and n = 5
 
@@ -516,6 +516,42 @@ def test_reader_closing_stdout_early_exits_1():
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def run_with_closed_fd(fd, argv):
+    """``python -m m0nbar *argv`` in a child whose file descriptor fd is
+    closed before it starts, as the shell's ``>&-`` or ``<&-`` does."""
+    return subprocess.run(
+        [sys.executable, "-m", "m0nbar", *argv],
+        capture_output=True,
+        preexec_fn=lambda: os.close(fd),
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "4", "psi1"],
+        ["explain", "--coloring", "--n", "5", "D{1,2}^2"],
+        ["enumerate", "--n", "5"],
+        ["check", "--suite", "string", "--n-max", "5"],
+    ],
+)
+def test_closed_stdout_exits_1(argv):
+    # like a reader that closes standard output early: exit 1, stderr empty
+    proc = run_with_closed_fd(1, argv)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_closed_stdin_without_an_expression_exits_2(command):
+    # a closed standard input reads as empty
+    proc = run_with_closed_fd(0, [command, "--n", "4"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: at position 0: expected a factor\n"
 
 
 def eval_in_600_mb(n, expr):
