@@ -587,7 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list the stable trees on 1..n")
     p.add_argument("--n", type=_marked_count, required=True)
-    p.add_argument("--codim", type=int, default=None, help="restrict to this many internal edges")
+    p.add_argument("--codim", type=int, default=None,
+                   help="restrict to this many internal edges; a codimension no stratum "
+                        "has (below 0 or above n - 3) lists nothing, and --count-only "
+                        "prints 0, both exiting 0")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 

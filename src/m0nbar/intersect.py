@@ -264,9 +264,9 @@ class BoundaryProduct:
 class DecoratedTree:
     """A stratum with edge weights and psi weights: the evaluator's input.
 
-    vertex_dim(v) is degree(v) - 3, the dimension of the moduli factor the
-    vertex contributes.  Edge weights count repeated divisor factors beyond
-    the first, and ``edge_weight`` lists every edge in ``tree.edges`` order;
+    ``tree.dims[v]`` is degree(v) - 3, the dimension of the moduli factor
+    the vertex contributes.  Edge weights count repeated divisor factors
+    beyond the first, and ``edge_weight`` lists every edge in ``tree.edges`` order;
     psi weights sit on leaves, and ``vertex_psi`` holds each vertex's
     (leaf, weight) pairs in vertex order, built once; equality and the repr
     leave it out, since it follows from the other fields.
@@ -310,13 +310,6 @@ class DecoratedTree:
         return (f"DecoratedTree(tree={self.tree!r}, edge_weight={self.edge_weight!r}, "
                 f"psi_weight={self.psi_weight!r})")
 
-    def vertex_dim(self, v: int) -> int:
-        return self.tree.dims[v]
-
-    def psi_at(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(leaf, weight) pairs for the psi-carrying leaves at a vertex."""
-        return self.vertex_psi[v]
-
     @property
     def weight_total(self) -> int:
         return sum(self.edge_weight.values()) + sum(self.psi_weight.values())
@@ -351,22 +344,24 @@ def product_to_decorated(product: BoundaryProduct) -> DecorationResult:
 def strata_product_to_decorated(trees: Sequence[StableTree]) -> DecorationResult:
     """Decorate a product of arbitrary strata.
 
-    Each edge of the meet is weighted by the number of input strata
-    containing it beyond the first.  Codimensions must sum to n - 3.
+    A stratum is the transversal product of the divisors of its edges, so
+    the product of strata is the divisor product of all their edges, each
+    edge to the power of the number of strata containing it, and
+    product_to_decorated decorates it.  Codimensions must sum to n - 3.
     """
     if not trees:
         raise ValueError("need at least one stratum")
-    n = trees[0].ground.n
+    ground = trees[0].ground
+    n = ground.n
     total = sum(t.codim for t in trees)
     if total != n - 3:
         raise DegreeMismatch(
             f"codimensions sum to {total} != n - 3 = {n - 3} (n = {n})"
         )
-    meet = meet_all(trees)
-    if meet is EMPTY:
-        return EMPTY
-    weights = {
-        e: sum(1 for t in trees if e in t.splits) - 1
-        for e in meet.splits
-    }
-    return DecoratedTree(meet, weights, {})
+    # BoundaryProduct checks each edge's ground; a stratum with no edges
+    # is checked here
+    for t in trees:
+        if t.ground != ground:
+            raise GroundMismatch("strata live on different ground sets")
+    powers = collections.Counter(e for t in trees for e in t.edges)
+    return product_to_decorated(BoundaryProduct(ground, powers, {}))

@@ -18,7 +18,6 @@ pay off: enumeration and the compatibility tests at small n.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -241,9 +240,9 @@ class StableTree:
     order, so consumers zip them with ``edges`` and ``vertices`` instead of
     looking edges up.  Privately each vertex lists the indices of its edges,
     the one toward vertex 0 first, and label i's vertex sits at index i - 1
-    of the leaf table.  An edge is found by one bisection of ``edges``.
-    ``block_masks`` holds each edge's ``block_mask`` in ``edges`` order; it
-    is built on first read, so a tree whose masks nobody reads builds none.
+    of the leaf table.  ``block_masks`` holds each edge's ``block_mask`` in
+    ``edges`` order; it is built on first read, so a tree whose masks nobody
+    reads builds none.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
@@ -294,19 +293,6 @@ class StableTree:
     def leaves_at(self, v: int) -> tuple[int, ...]:
         return self.vertex_leaves[v]
 
-    def degree(self, v: int) -> int:
-        return self.dims[v] + 3
-
-    def _index(self, edge: Split) -> int:
-        i = bisect.bisect_left(self.edges, edge.block, key=_BLOCK)
-        if i == len(self.edges) or self.edges[i] != edge:
-            raise NotInternalEdge(f"{edge} is not an internal edge of this tree")
-        return i
-
-    def edge_ends(self, edge: Split) -> tuple[int, int]:
-        """Endpoints (parent vertex, child vertex) of an internal edge."""
-        return self.ends[self._index(edge)]
-
     def leaf_vertex(self, label: int) -> int:
         """The internal vertex a leaf is attached to."""
         if not 0 < label <= self.ground.n:
@@ -338,32 +324,6 @@ class StableTree:
         vertices = up[: i + 1] + [w for w, _ in reversed(down)]
         ids = up_ids[:i] + [j for _, j in reversed(down)]
         return vertices, list(map(self.edges.__getitem__, ids))
-
-    def branch(self, v: int, edge: Split) -> tuple[tuple[Split, ...], tuple[int, ...]]:
-        """Internal edges and leaves strictly beyond ``edge``, seen from ``v``."""
-        skip = self._index(edge)
-        p, c = self.ends[skip]
-        if v == p:
-            start = c
-        elif v == c:
-            start = p
-        else:
-            raise NotInternalEdge(f"{edge} is not incident to vertex {v}")
-        ids, leaves = [], []
-        stack, seen = [start], {start}
-        while stack:
-            u = stack.pop()
-            leaves.extend(self.vertex_leaves[u])
-            for i in self._edge_ids[u]:
-                if i == skip:
-                    continue
-                a2, b2 = self.ends[i]
-                w = b2 if u == a2 else a2
-                if w not in seen:
-                    seen.add(w)
-                    ids.append(i)
-                    stack.append(w)
-        return tuple(map(self.edges.__getitem__, ids)), tuple(sorted(leaves))
 
     def __eq__(self, other):
         if not isinstance(other, StableTree):
@@ -502,12 +462,14 @@ def splits_of_links(
 def split_of_edge(tree: StableTree, edge: Split) -> Split:
     """Recompute the partition an internal edge induces, by traversal.
 
-    Equals the stored split; kept as an honest round-trip on the rebuilt
-    incidence structure rather than a dictionary lookup.
+    Reads the split back off the tree's links and leaf table with
+    splits_of_links, so it equals the stored split only if the rebuilt
+    incidence structure is right.  A split that is not an edge of the tree
+    raises NotInternalEdge.
     """
-    p, _ = tree.edge_ends(edge)
-    _, leaves = tree.branch(p, edge)
-    return make_split(tree.ground, leaves)
+    if edge not in tree.splits:
+        raise NotInternalEdge(f"{edge} is not an internal edge of this tree")
+    return splits_of_links(tree.ground, tree.ends, tree._leaf_at)[tree.edges.index(edge)]
 
 
 def tree_equal(t1: StableTree, t2: StableTree) -> bool:

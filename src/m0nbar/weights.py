@@ -41,9 +41,6 @@ class BalancedWeighting(collections.namedtuple("BalancedWeighting", "decorated h
             out[(c, e)] = hc
         return out
 
-    def at(self, v: int, e: Split) -> int:
-        return self.half_weight[(v, e)]
-
 
 class EvalResult(collections.namedtuple(
         "EvalResult", "value sign edge_factors vertex_factors weighting reason")):

@@ -101,7 +101,7 @@ def test_criterion_2_psi_fixture(capsys):
             (make_split(g15, {13, 14, 15}), x, z): (0, 1),
         }
         for (edge, a, b), (ha, hb) in expected_halves.items():
-            assert (weighting.at(a, edge), weighting.at(b, edge)) == (ha, hb)
+            assert (weighting.half_weight[(a, edge)], weighting.half_weight[(b, edge)]) == (ha, hb)
         assert decorated.psi_weight == {4: 1, 7: 2}
 
         # the same divisors with the psi exponents swapped put weight 2 on a

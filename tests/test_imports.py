@@ -102,3 +102,16 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         m0nbar.no_such_name  # noqa: B018
     assert "oracle" in dir(m0nbar)
+
+
+def test_importing_the_main_module_runs_nothing():
+    # tools that import every module (pydoc, coverage) must not start the CLI;
+    # python -m m0nbar runs it as __main__, which the commands above cover
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import m0nbar.__main__"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

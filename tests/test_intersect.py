@@ -1,5 +1,6 @@
 """Compatibility, the coloring insertion, meets, and product decoration."""
 
+import collections
 import itertools
 import random
 
@@ -57,6 +58,16 @@ def all_divisors(n):
     return sorted(out, key=lambda s: s.block)
 
 
+def beyond(tree, v, e):
+    """The leaves past edge e, seen from its end v.
+
+    The child's side of an edge is its canonical block, so from the parent
+    that is what lies past the edge, and from the child the complement.
+    """
+    parent, _ = tree.ends[tree.edges.index(e)]
+    return e.block if v == parent else e.complement
+
+
 class TestCompatible:
     def test_nested_blocks(self):
         assert compatible(make_split(G5, {1, 2}), make_split(G5, {4, 5}))
@@ -111,10 +122,12 @@ class TestColoring:
                         continue
                     v = coloring.split_vertex
                     for e in t.edges_at(v):
-                        edges, leaves = t.branch(v, e)
-                        colors = {coloring.edge_colors[e]}
-                        colors |= {coloring.edge_colors[f] for f in edges}
-                        colors |= {coloring.leaf_colors[lab] for lab in leaves}
+                        side = set(beyond(t, v, e))
+                        # an edge lies past e iff one of its sides does; e
+                        # itself is one of them
+                        colors = {coloring.edge_colors[f] for f in t.edges
+                                  if side.issuperset(f.block) or side.issuperset(f.complement)}
+                        colors |= {coloring.leaf_colors[lab] for lab in side}
                         assert len(colors) == 1
 
     def test_blue_edges_lie_strictly_inside_the_block(self):
@@ -184,7 +197,7 @@ class TestMeetDivisor:
                 # a union of some branches at one vertex never crosses an
                 # edge; a random side almost always does at these sizes
                 v = rng.randrange(t.num_vertices)
-                branches = [t.branch(v, e)[1] for e in t.edges_at(v)]
+                branches = [beyond(t, v, e) for e in t.edges_at(v)]
                 branches += [(lab,) for lab in t.leaves_at(v)]
                 picked = rng.sample(branches, rng.randint(1, len(branches) - 2))
                 sides = [[lab for b in picked for lab in b]]
@@ -309,7 +322,7 @@ class TestProductToDecorated:
     def test_fifteen_point_decoration(self, example_product):
         decorated = product_to_decorated(example_product)
         tree = decorated.tree
-        assert sorted(decorated.vertex_dim(v) for v in tree.vertices) == [0, 0, 1, 1, 2, 3]
+        assert sorted(tree.dims[v] for v in tree.vertices) == [0, 0, 1, 1, 2, 3]
         g15 = example_product.ground
         weight_by_side = {
             frozenset({1, 2}): 1,
@@ -401,8 +414,77 @@ class TestStrataProduct:
 
     def test_codimension_budget(self):
         t = tree_from_splits(G5, (make_split(G5, {1, 2}),))
-        with pytest.raises(DegreeMismatch):
+        with pytest.raises(DegreeMismatch, match="codimensions sum to 1 != n - 3 = 2"):
             strata_product_to_decorated([t])
+        with pytest.raises(DegreeMismatch, match="codimensions sum to 3 != n - 3 = 2"):
+            strata_product_to_decorated([t, t, t])
+        with pytest.raises(ValueError):
+            strata_product_to_decorated([])
+
+    def test_mixed_ground_sets_raise(self):
+        t5 = tree_from_splits(G5, (make_split(G5, {1, 2}),))
+        t6 = tree_from_splits(G6, (make_split(G6, {1, 2}),))
+        # the codimensions fit the first stratum's n, so only the ground sets
+        # are wrong; in the last product the stranger has no edge to carry
+        # its ground set
+        for trees in ([t5, t6], [t6, t5, t5], [t5, t5, tree_from_splits(G6, ())]):
+            with pytest.raises(GroundMismatch):
+                strata_product_to_decorated(trees)
+
+    def test_matches_the_meet_weighted_by_containment(self):
+        # every pair of strata at n = 6 whose codimensions sum to n - 3
+        trees = list(enumerate_stable_trees(6))
+        pairs = [(t1, t2) for t1 in trees for t2 in trees if t1.codim + t2.codim == 3]
+        assert len(pairs) == 5460
+        kinds = collections.Counter(check_against_reference(pair) for pair in pairs)
+        assert set(kinds) == {"empty", "weighted", "unweighted"}
+
+    def test_matches_the_meet_on_sampled_products_at_n_8(self):
+        # three to five strata on 8 points, with codimensions summing to 5:
+        # half drawn from one maximal tree, so they meet and share edges,
+        # half from independent random trees, which mostly do not meet
+        rng = random.Random(41)
+        ground = MarkedSet.range(8)
+        kinds = collections.Counter()
+        for _ in range(1500):
+            k = rng.randint(3, 5)
+            cuts = sorted(rng.choices(range(6), k=k - 1))
+            codims = [b - a for a, b in zip([0, *cuts], [*cuts, 5])]
+            shared = random_tree_of_codim(8, 5, rng) if rng.random() < 0.5 else None
+            trees = []
+            for c in codims:
+                source = shared or random_tree_of_codim(8, c, rng)
+                trees.append(tree_from_splits(ground, rng.sample(source.edges, c)))
+            kinds[check_against_reference(trees)] += 1
+        assert min(kinds[kind] for kind in ("empty", "weighted", "unweighted")) >= 100
+
+
+def reference_strata_decoration(trees):
+    """Decoration of a product of strata by its earlier definition: the meet
+    of the strata, each edge weighted by the number of strata containing it
+    less one."""
+    meet = meet_all(trees)
+    if meet is EMPTY:
+        return EMPTY
+    return DecoratedTree(meet, {e: sum(e in t.splits for t in trees) - 1 for e in meet.edges}, {})
+
+
+def check_against_reference(trees):
+    """Assert strata_product_to_decorated agrees with the reference; name the case."""
+    got = strata_product_to_decorated(trees)
+    want = reference_strata_decoration(trees)
+    assert got == want
+    if got is EMPTY:
+        return "empty"
+    return "weighted" if any(got.edge_weight.values()) else "unweighted"
+
+
+def random_tree_of_codim(n, codim, rng):
+    """A random stable tree on 1..n with at least ``codim`` edges."""
+    while True:
+        tree = random_stable_tree(n, rng)
+        if tree.codim >= codim:
+            return tree
 
 
 class TestTables:
@@ -413,13 +495,12 @@ class TestTables:
             tree = decorated.tree
             dims = [len(tree.edges_at(v)) + len(tree.leaves_at(v)) - 3 for v in tree.vertices]
             assert list(tree.dims) == dims
-            assert [decorated.vertex_dim(v) for v in tree.vertices] == dims
             assert tree.dim == sum(dims)
 
     def test_ends_follow_the_edge_order(self):
         for decorated in table_inputs():
             tree = decorated.tree
-            assert list(tree.ends) == [tree.edge_ends(e) for e in tree.edges]
+            assert len(tree.ends) == len(tree.edges)
             for e, (p, c) in zip(tree.edges, tree.ends):
                 # the child lists the edge toward vertex 0 first
                 assert e in tree.edges_at(p) and tree.edges_at(c)[0] == e and c != 0
@@ -430,4 +511,4 @@ class TestTables:
             tree, psi = decorated.tree, decorated.psi_weight
             for v in tree.vertices:
                 scan = tuple((lab, psi[lab]) for lab in tree.leaves_at(v) if lab in psi)
-                assert decorated.psi_at(v) == decorated.vertex_psi[v] == scan
+                assert decorated.vertex_psi[v] == scan

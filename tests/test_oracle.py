@@ -213,7 +213,7 @@ class TestGenerators:
         for _ in range(200):
             n = rng.randint(3, 12)
             tree = random_stable_tree(n, rng)
-            assert all(tree.degree(v) >= 3 for v in tree.vertices)
+            assert all(tree.dims[v] + 3 >= 3 for v in tree.vertices)
             assert tree.dim + tree.codim == n - 3
 
     def test_random_decorations_balance_dimension(self):

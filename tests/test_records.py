@@ -176,7 +176,7 @@ class TestBalancedWeighting:
     def test_half_weight_is_cached(self):
         weighting = five_point_result().weighting
         assert weighting.half_weight is weighting.half_weight
-        assert weighting.at(1, S345) == 1
+        assert weighting.half_weight[(1, S345)] == 1
 
 
 class TestEvalResult:

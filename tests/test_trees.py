@@ -136,7 +136,7 @@ class TestReconstruction:
         assert t.num_vertices == 5
         assert t.codim == 4
         assert t.dim == 2
-        assert sorted(t.degree(v) for v in t.vertices) == [3, 3, 3, 4, 4]
+        assert sorted(t.dims[v] + 3 for v in t.vertices) == [3, 3, 3, 4, 4]
         assert t.leaves_at(0) == (1, 4)
 
     def test_leaf_vertex_covers_exactly_the_labels(self, nine_point_tree):
@@ -150,7 +150,7 @@ class TestReconstruction:
     def test_no_splits_gives_one_big_vertex(self):
         t = tree_from_splits(G5, ())
         assert t.num_vertices == 1
-        assert t.degree(0) == 5
+        assert t.dims[0] + 3 == 5
         assert t.dim == 2
 
     def test_incompatible_pair_is_rejected(self):
@@ -205,9 +205,9 @@ class TestReconstruction:
         ground = MarkedSet.range(7)
         outer, inner, other = (make_split(ground, s) for s in ({2, 4, 6}, {4, 6}, {3, 5}))
         t = tree_from_splits(ground, (inner, other, outer))
-        assert t.edge_ends(outer) == (0, 1)
-        assert t.edge_ends(inner) == (1, 2)
-        assert t.edge_ends(other) == (0, 3)
+        assert t.ends[t.edges.index(outer)] == (0, 1)
+        assert t.ends[t.edges.index(inner)] == (1, 2)
+        assert t.ends[t.edges.index(other)] == (0, 3)
 
     def test_edges_hold_the_splits_in_canonical_order(self, nine_point_tree):
         assert [str(e) for e in nine_point_tree.edges] == [
@@ -241,7 +241,7 @@ class TestSplitOfEdge:
                 for e in t.splits:
                     assert split_of_edge(t, e) == e
                 # the tree's own incidence, read back by one walk over its links
-                links = [t.edge_ends(e) for e in t.edges]
+                links = list(t.ends)
                 leaf_node = [t.leaf_vertex(lab) for lab in t.ground.labels]
                 assert splits_of_links(t.ground, links, leaf_node) == list(t.edges)
 
@@ -249,9 +249,8 @@ class TestSplitOfEdge:
         rng = random.Random(5)
         for n in range(4, 61):
             t = random_stable_tree(n, rng)
-            for e in t.edges:
+            for e, (_, child) in zip(t.edges, t.ends):
                 assert split_of_edge(t, e) == e
-                _, child = t.edge_ends(e)
                 assert t.edges_at(child)[0] == e
                 for f in t.edges_at(child)[1:]:
                     assert f.block_mask & ~e.block_mask == 0
@@ -260,7 +259,7 @@ class TestSplitOfEdge:
         with pytest.raises(NotInternalEdge):
             split_of_edge(nine_point_tree, make_split(nine_point_tree.ground, {5, 6}))
         # blocks sorting before and after every edge, and an edge's own mask
-        # on another ground set, which sorts where that edge does
+        # on another ground set, which has that edge's block
         t = nine_point_tree
         e = make_split(t.ground, {2, 6, 8})
         for foreign in (
@@ -268,8 +267,6 @@ class TestSplitOfEdge:
             make_split(t.ground, {5, 6}),
             Split(MarkedSet.range(10), e.block_mask),
         ):
-            with pytest.raises(NotInternalEdge):
-                t.edge_ends(foreign)
             with pytest.raises(NotInternalEdge):
                 split_of_edge(t, foreign)
 
@@ -355,8 +352,8 @@ class TestEnumeration:
         for n in (4, 5, 6):
             for t in enumerate_stable_trees(n):
                 assert t.dim + t.codim == n - 3
-                assert t.dim == sum(t.degree(v) - 3 for v in t.vertices)
-                assert all(t.degree(v) >= 3 for v in t.vertices)
+                assert t.dim == sum(t.dims[v] for v in t.vertices)
+                assert all(t.dims[v] + 3 >= 3 for v in t.vertices)
 
     def test_guard(self):
         with pytest.raises(TooLarge):

@@ -42,11 +42,11 @@ class TestBalance:
         e_wx = make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8})
         e_xy = make_split(g15, {11, 12})
         e_xz = make_split(g15, {13, 14, 15})
-        assert (weighting.at(u, e_uw), weighting.at(w, e_uw)) == (0, 1)
-        assert (weighting.at(w, e_wv), weighting.at(v, e_wv)) == (1, 1)
-        assert (weighting.at(x, e_wx), weighting.at(w, e_wx)) == (2, 1)
-        assert (weighting.at(x, e_xy), weighting.at(y, e_xy)) == (0, 0)
-        assert (weighting.at(x, e_xz), weighting.at(z, e_xz)) == (0, 1)
+        assert (weighting.half_weight[(u, e_uw)], weighting.half_weight[(w, e_uw)]) == (0, 1)
+        assert (weighting.half_weight[(w, e_wv)], weighting.half_weight[(v, e_wv)]) == (1, 1)
+        assert (weighting.half_weight[(x, e_wx)], weighting.half_weight[(w, e_wx)]) == (2, 1)
+        assert (weighting.half_weight[(x, e_xy)], weighting.half_weight[(y, e_xy)]) == (0, 0)
+        assert (weighting.half_weight[(x, e_xz)], weighting.half_weight[(z, e_xz)]) == (0, 1)
 
     def test_psi_fixture_half_weights(self, psi_example_product):
         decorated = product_to_decorated(psi_example_product)
@@ -55,14 +55,14 @@ class TestBalance:
         g15 = psi_example_product.ground
         u, w, v = tree.leaf_vertex(1), tree.leaf_vertex(6), tree.leaf_vertex(3)
         x, z = tree.leaf_vertex(9), tree.leaf_vertex(13)
-        assert weighting.at(w, make_split(g15, {1, 2})) == 1
-        assert weighting.at(u, make_split(g15, {1, 2})) == 0
-        assert weighting.at(w, make_split(g15, {3, 4, 5})) == 0
-        assert weighting.at(v, make_split(g15, {3, 4, 5})) == 0
-        assert weighting.at(x, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8})) == 2
-        assert weighting.at(w, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8})) == 0
-        assert weighting.at(x, make_split(g15, {13, 14, 15})) == 0
-        assert weighting.at(z, make_split(g15, {13, 14, 15})) == 1
+        assert weighting.half_weight[(w, make_split(g15, {1, 2}))] == 1
+        assert weighting.half_weight[(u, make_split(g15, {1, 2}))] == 0
+        assert weighting.half_weight[(w, make_split(g15, {3, 4, 5}))] == 0
+        assert weighting.half_weight[(v, make_split(g15, {3, 4, 5}))] == 0
+        assert weighting.half_weight[(x, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8}))] == 2
+        assert weighting.half_weight[(w, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8}))] == 0
+        assert weighting.half_weight[(x, make_split(g15, {13, 14, 15}))] == 0
+        assert weighting.half_weight[(z, make_split(g15, {13, 14, 15}))] == 1
 
     def test_single_vertex_tree_has_empty_weighting(self):
         decorated = product_to_decorated(BoundaryProduct(G6, {}, {1: 1, 2: 1, 3: 1}))
@@ -104,10 +104,10 @@ class TestBalance:
                 continue
             tree = decorated.tree
             for e, (p, c), halves in zip(tree.edges, tree.ends, weighting.halves):
-                assert halves == (weighting.at(p, e), weighting.at(c, e))
+                assert halves == (weighting.half_weight[(p, e)], weighting.half_weight[(c, e)])
                 assert sum(halves) == decorated.edge_weight[e]
             for v in tree.vertices:
-                at_v = sorted(weighting.at(v, e) for e in tree.edges_at(v))
+                at_v = sorted(weighting.half_weight[(v, e)] for e in tree.edges_at(v))
                 assert sorted(weighting.parts[v]) == at_v
 
     def test_peels_are_pinned(self):
