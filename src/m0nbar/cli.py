@@ -59,7 +59,7 @@ _SEPARATOR = re.compile(r"\s*(\*)?\s*")
 # it refuses leading zeros, which int() reads
 _scan_json = json.JSONDecoder().scan_once
 
-# the largest n each check suite runs at; the flag suite's is oracle.FLAG_LIMIT
+# the expansion and string suites' guards, read only by _cmd_check's table
 _EXPANSION_LIMIT = 8
 _STRING_LIMIT = 10
 _FLAG_SAMPLE = 100_000
@@ -466,49 +466,17 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _run_flag_suite(n_max: int, seed: int) -> list[dict]:
-    from . import oracle
-
-    rows = []
-    for n in range(4, min(n_max, oracle.FLAG_LIMIT) + 1):
-        report = oracle.flag_certify(n, sample_limit=_FLAG_SAMPLE, seed=seed)
-        rows.append(
-            {
-                "suite": "flag",
-                "n": n,
-                "checked": report.pairs_checked,
-                "failures": len(report.discrepancies),
-            }
-        )
-    return rows
-
-
-def _run_string_suite(n_max: int) -> list[dict]:
-    from . import oracle
-
-    rows = []
-    integral = oracle.string_eq_psi_integral
-    for n in range(3, min(n_max, _STRING_LIMIT) + 1):
-        checked = failures = 0
-        for vec in oracle.compositions(n - 3, n):
-            checked += 1
-            if integral(n, dict(enumerate(vec, 1))) != multinomial(n - 3, vec):
-                failures += 1
-        rows.append({"suite": "string", "n": n, "checked": checked, "failures": failures})
-    return rows
-
-
-def _run_expansion_suite(n_max: int, seed: int) -> list[dict]:
+def _cmd_check(args) -> int:
+    # check is the one command that runs the oracle, so only it imports it
     import random
 
     from . import oracle
 
-    rows = []
-    rng = random.Random(seed)
-    for n in range(4, min(n_max, _EXPANSION_LIMIT) + 1):
-        checked = failures = 0
+    rng = random.Random(args.seed)  # one stream for every n of the expansion suite
+
+    def expansion(n: int) -> tuple[int, int]:
+        failures = 0
         for _ in range(_EXPANSION_TRIALS):
-            checked += 1
             decorated = oracle.random_decorated_tree(n, rng)
             result = evaluate(decorated)
             terms = oracle.surviving_decompositions(decorated)
@@ -517,29 +485,35 @@ def _run_expansion_suite(n_max: int, seed: int) -> list[dict]:
                 ok = ok and _ratio(result.weighting) == result.value
             else:
                 ok = ok and result.value == 0
-            if not ok:
-                failures += 1
-        rows.append({"suite": "expansion", "n": n, "checked": checked, "failures": failures})
-    return rows
+            failures += not ok
+        return _EXPANSION_TRIALS, failures
 
+    def string(n: int) -> tuple[int, int]:
+        vecs = list(oracle.compositions(n - 3, n))
+        integral = oracle.string_eq_psi_integral
+        failures = sum(integral(n, dict(enumerate(vec, 1))) != multinomial(n - 3, vec)
+                       for vec in vecs)
+        return len(vecs), failures
 
-def _cmd_check(args) -> int:
-    # check is the one command that runs the oracle, so only it imports it
-    from . import oracle
+    def flag(n: int) -> tuple[int, int]:
+        report = oracle.flag_certify(n, sample_limit=_FLAG_SAMPLE, seed=args.seed)
+        return report.pairs_checked, len(report.discrepancies)
 
-    guards = {"expansion": _EXPANSION_LIMIT, "string": _STRING_LIMIT, "flag": oracle.FLAG_LIMIT}
-    if args.suite != "all" and args.n_max > guards[args.suite]:
-        raise TooLarge(
-            f"suite '{args.suite}' is guarded at n <= {guards[args.suite]}, "
-            f"got --n-max {args.n_max}"
-        )
+    # each suite's smallest n, its guard (the largest n it runs at), and its
+    # (checked, failures) at one n, in the order "all" runs them
+    suites = {
+        "expansion": (4, _EXPANSION_LIMIT, expansion),
+        "string": (3, _STRING_LIMIT, string),
+        "flag": (4, oracle.FLAG_LIMIT, flag),
+    }
     rows: list[dict] = []
-    if args.suite in ("expansion", "all"):
-        rows += _run_expansion_suite(args.n_max, args.seed)
-    if args.suite in ("string", "all"):
-        rows += _run_string_suite(args.n_max)
-    if args.suite in ("flag", "all"):
-        rows += _run_flag_suite(args.n_max, args.seed)
+    for name in suites if args.suite == "all" else [args.suite]:
+        first, guard, run = suites[name]
+        if name == args.suite and args.n_max > guard:
+            raise TooLarge(f"suite '{name}' is guarded at n <= {guard}, got --n-max {args.n_max}")
+        for n in range(first, min(args.n_max, guard) + 1):
+            checked, failures = run(n)
+            rows.append({"suite": name, "n": n, "checked": checked, "failures": failures})
     if not rows:
         print(f"error: --n-max {args.n_max} leaves no n to check in suite '{args.suite}'",
               file=sys.stderr)
@@ -595,9 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check", help="run the brute-force verification suites")
-    p.add_argument("--suite", choices=["expansion", "string", "flag", "all"], required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--suite", choices=["expansion", "string", "flag", "all"], required=True,
+                   help="the suite to run; all runs every suite in turn")
+    p.add_argument("--n-max", type=int, required=True,
+                   help="check each n from the suite's smallest up to this; a single suite "
+                        "past its guard exits 2, and all caps each suite at its guard")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the expansion suite's random trees and of the flag "
+                        "suite's sampled pairs")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_check)
 

@@ -117,10 +117,8 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
             edge_colors[e] = BLUE
         else:
             edge_colors[e] = RED
-    leaf_colors = {
-        lab: (BLUE if x >> i & 1 else RED)
-        for i, lab in enumerate(tree.ground.labels)
-    }
+    leaf_colors = dict.fromkeys(tree.ground.labels, RED)
+    leaf_colors.update(dict.fromkeys(divisor.block, BLUE))
 
     blue_leaf = divisor.block[0]
     red_leaf = tree.ground.labels[0]  # the smallest label is never in the block

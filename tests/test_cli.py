@@ -41,6 +41,35 @@ PSI_EXAMPLE = "psi4 psi7^2 D{1,2}^2 D{3,4,5} D{1,2,3,4,5,6,7,8}^3 D{11,12} D{13,
 # (n=7), plus enumerate --n 5.  Refactors must leave these bytes alone.
 PINNED = json.loads(Path(__file__).with_name("cli_stdout.json").read_text())
 
+# Exact stdout of check --suite all --n-max 10: every suite up to its guard.
+# The counts do not depend on the seed.
+CHECK_ALL_TEXT = """\
+expansion n=4: 300 checked, 0 discrepancies [ok]
+expansion n=5: 300 checked, 0 discrepancies [ok]
+expansion n=6: 300 checked, 0 discrepancies [ok]
+expansion n=7: 300 checked, 0 discrepancies [ok]
+expansion n=8: 300 checked, 0 discrepancies [ok]
+string    n=3: 1 checked, 0 discrepancies [ok]
+string    n=4: 4 checked, 0 discrepancies [ok]
+string    n=5: 15 checked, 0 discrepancies [ok]
+string    n=6: 56 checked, 0 discrepancies [ok]
+string    n=7: 210 checked, 0 discrepancies [ok]
+string    n=8: 792 checked, 0 discrepancies [ok]
+string    n=9: 3003 checked, 0 discrepancies [ok]
+string    n=10: 11440 checked, 0 discrepancies [ok]
+flag      n=4: 6 checked, 0 discrepancies [ok]
+flag      n=5: 325 checked, 0 discrepancies [ok]
+flag      n=6: 27730 checked, 0 discrepancies [ok]
+flag      n=7: 100000 checked, 0 discrepancies [ok]
+all checks passed
+"""
+# the same rows as (suite, n, checked)
+CHECK_ALL_ROWS = (
+    [("expansion", n, 300) for n in range(4, 9)]
+    + list(zip(["string"] * 8, range(3, 11), [1, 4, 15, 56, 210, 792, 3003, 11440]))
+    + list(zip(["flag"] * 4, range(4, 8), [6, 325, 27730, 100000]))
+)
+
 
 class TestParse:
     def test_example_factors(self):
@@ -492,6 +521,89 @@ class TestCheck:
 
     def test_guard(self, capsys):
         assert main(["check", "--suite", "flag", "--n-max", "9"]) == 2
+
+    def test_all_text_bytes(self, capsys):
+        assert main(["check", "--suite", "all", "--n-max", "10"]) == 0
+        assert capsys.readouterr() == (CHECK_ALL_TEXT, "")
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_all_json_bytes(self, seed, capsys):
+        argv = ["check", "--suite", "all", "--n-max", "10", "--seed", str(seed), "--format", "json"]
+        assert main(argv) == 0
+        rows = [{"suite": suite, "n": n, "checked": checked, "failures": 0}
+                for suite, n, checked in CHECK_ALL_ROWS]
+        payload = {"suite": "all", "n_max": 10, "seed": seed, "results": rows, "ok": True}
+        assert capsys.readouterr() == (json.dumps(payload, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("suite, guard", [("expansion", 8), ("string", 10), ("flag", 7)])
+    def test_guard_is_the_largest_n_a_suite_runs(self, suite, guard, capsys):
+        # alone, a suite prints its rows of check --suite all
+        assert main(["check", "--suite", suite, "--n-max", str(guard)]) == 0
+        lines = CHECK_ALL_TEXT.splitlines(keepends=True)
+        rows = "".join(line for line in lines if line.startswith(suite + " "))
+        assert capsys.readouterr() == (rows + "all checks passed\n", "")
+        assert main(["check", "--suite", suite, "--n-max", str(guard + 1)]) == 2
+        message = f"error: suite '{suite}' is guarded at n <= {guard}, got --n-max {guard + 1}\n"
+        assert capsys.readouterr() == ("", message)
+
+    def test_expansion_guard_stays_within_the_oracle_budget(self):
+        # random_decorated_tree spends at most the stratum's dimension, at
+        # most n - 3, on edge weights, so check never meets BudgetExceeded
+        assert cli._EXPANSION_LIMIT - 3 <= oracle.EXPANSION_BUDGET
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "suite, name, fake, rows",
+        [
+            ("string", "string_eq_psi_integral", lambda real: lambda n, e: real(n, e) + 1,
+             [(3, 1, 1), (4, 4, 4), (5, 15, 15), (6, 56, 56)]),
+            ("flag", "flag_equivalence", lambda real: lambda t1, t2: True,
+             [(4, 6, 3), (5, 325, 255), (6, 27730, 25920)]),
+            ("expansion", "surviving_decompositions", lambda real: lambda decorated: [],
+             [(4, 300, 300), (5, 300, 294), (6, 300, 258)]),
+        ],
+    )
+    def test_discrepancies_exit_4(self, suite, name, fake, rows, fmt, capsys, monkeypatch):
+        # a wrong reference makes the suite fail; rows are (n, checked, failures)
+        monkeypatch.setattr(oracle, name, fake(getattr(oracle, name)))
+        assert main(["check", "--suite", suite, "--n-max", "6", "--format", fmt]) == 4
+        if fmt == "json":
+            results = [{"suite": suite, "n": n, "checked": checked, "failures": failures}
+                       for n, checked, failures in rows]
+            payload = {"suite": suite, "n_max": 6, "seed": 0, "results": results, "ok": False}
+            expected = json.dumps(payload, indent=2) + "\n"
+        else:
+            expected = "".join(
+                f"{suite.ljust(9)} n={n}: {checked} checked, {failures} discrepancies [FAIL]\n"
+                for n, checked, failures in rows
+            ) + "DISCREPANCIES FOUND\n"
+        assert capsys.readouterr() == (expected, "")
+
+    def test_expansion_suite_draws_from_one_stream(self, capsys, monkeypatch):
+        # one random.Random(seed) runs on from one n to the next
+        drawn = []
+        draw = oracle.random_decorated_tree
+
+        def recorded(n, rng, *rest):
+            drawn.append(draw(n, rng, *rest))
+            return drawn[-1]
+
+        monkeypatch.setattr(oracle, "random_decorated_tree", recorded)
+        assert main(["check", "--suite", "expansion", "--n-max", "6", "--seed", "3"]) == 0
+        rng = random.Random(3)
+        assert drawn == [draw(n, rng) for n in range(4, 7) for _ in range(_EXPANSION_TRIALS)]
+
+    def test_flag_suite_passes_the_seed_at_every_n(self, capsys, monkeypatch):
+        calls = []
+        certify = oracle.flag_certify
+
+        def recorded(n, sample_limit=None, seed=0):
+            calls.append((n, seed))
+            return certify(n, sample_limit, seed)
+
+        monkeypatch.setattr(oracle, "flag_certify", recorded)
+        assert main(["check", "--suite", "flag", "--n-max", "6", "--seed", "11"]) == 0
+        assert calls == [(4, 11), (5, 11), (6, 11)]
 
 
 def test_module_entry_point_runs():
