@@ -174,11 +174,14 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
     With ``sample_limit`` set and fewer than the full number of pairs,
     ``sample_limit`` pairs are drawn reproducibly from ``seed``: the same
     pairs, in the same order, as two ``random.Random(seed).randrange(count)``
-    calls per pair.  Discrepancies are listed in the order drawn.  Guarded
-    at 4 <= n <= 7.
+    calls per pair.  Discrepancies are listed in the order drawn; a
+    ``sample_limit`` of 0 checks no pair, and a negative one raises
+    ValueError.  Guarded at 4 <= n <= 7.
     """
     if not 4 <= n <= FLAG_LIMIT:
         raise TooLarge(f"flag certification runs for 4 <= n <= {FLAG_LIMIT}, got {n}")
+    if sample_limit is not None and sample_limit < 0:
+        raise ValueError(f"sample_limit must be >= 0, got {sample_limit}")
     strata = [t for t in enumerate_stable_trees(n) if t.codim >= 1]
     # a tree's splits have distinct masks, so the sum is the OR of the bits
     own = [sum(1 << m for m in t.block_masks) for t in strata]

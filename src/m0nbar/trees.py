@@ -232,39 +232,38 @@ class StableTree:
     follow in depth-first order with children visited by smallest contained
     label.  Internal edges are identified with their splits; ``edges`` holds
     them in the canonical order (lexicographic by block), and ``splits`` is
-    the same edges as a set.
+    the same edges as a set.  ``codim``, ``dim`` (n - 3 - codim) and
+    ``num_vertices`` (codim + 1) are read off ``edges``.
 
-    The incidence is index tables computed once: ``ends`` lists each edge's
-    (parent, child) in ``edges`` order, ``dims`` each vertex's dimension
-    (degree - 3) and ``vertex_leaves`` each vertex's leaves, both in vertex
-    order, so consumers zip them with ``edges`` and ``vertices`` instead of
-    looking edges up.  Privately each vertex lists the indices of its edges,
-    the one toward vertex 0 first, and label i's vertex sits at index i - 1
-    of the leaf table.  ``block_masks`` holds each edge's ``block_mask`` in
-    ``edges`` order; it is built on first read, so a tree whose masks nobody
-    reads builds none.
+    The incidence is index tables: ``ends`` lists each edge's (parent,
+    child) in ``edges`` order, ``dims`` each vertex's dimension (degree - 3)
+    and ``vertex_leaves`` each vertex's leaves, both in vertex order, so
+    consumers zip them with ``edges`` and ``vertices`` instead of looking
+    edges up.  Privately each vertex lists the indices of its edges, the one
+    toward vertex 0 first, and label i's vertex sits at index i - 1 of the
+    leaf table.  The first read of any one table numbers the vertices and
+    fills them all, so a tree that only enumeration or a flag test reads
+    builds none; until then the tree keeps its builder's parent and owner
+    lists.  ``block_masks`` holds each edge's ``block_mask`` in ``edges``
+    order and is likewise built on first read, on its own.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
     __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_edge_ids",
-                 "_leaf_at", "_dim", "block_masks")
+                 "_leaf_at", "block_masks", "_up", "_owner")
 
-    def __init__(self, ground, edges, splits, ends, dims, vertex_leaves, edge_ids, leaf_at):
+    def __init__(self, ground, edges, splits, up, owner):
         self.ground = ground
         self.edges = edges
         self.splits = splits
-        self.ends = ends
-        self.dims = dims
-        self.vertex_leaves = vertex_leaves
-        self._edge_ids = edge_ids
-        self._leaf_at = leaf_at
-        self._dim = sum(dims)
+        self._up = up
+        self._owner = owner
 
     @property
     def num_vertices(self) -> int:
-        return len(self.dims)
+        return len(self.edges) + 1
 
     @property
     def vertices(self) -> range:
@@ -276,16 +275,21 @@ class StableTree:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        # the sum of degree - 3 over the codim + 1 vertices, whose degrees
+        # add up to n + 2 * codim
+        return self.ground.n - 3 - len(self.edges)
 
     def __getattr__(self, name):
-        # called only when the normal lookup fails, as it does for the
-        # block_masks slot until its first read fills it: every later read
-        # is a plain slot load
-        if name != "block_masks":
-            raise AttributeError(f"'StableTree' object has no attribute '{name}'")
-        masks = self.block_masks = tuple(s.block_mask for s in self.edges)
-        return masks
+        # called only when the normal lookup fails, as it does for the table
+        # and block_masks slots until a first read fills them: every later
+        # read is a plain slot load
+        if name in _TABLES:
+            _number_vertices(self)
+            return getattr(self, name)
+        if name == "block_masks":
+            masks = self.block_masks = tuple(s.block_mask for s in self.edges)
+            return masks
+        raise AttributeError(f"'StableTree' object has no attribute '{name}'")
 
     def edges_at(self, v: int) -> tuple[Split, ...]:
         return tuple(map(self.edges.__getitem__, self._edge_ids[v]))
@@ -338,6 +342,10 @@ class StableTree:
         return f"<StableTree n={self.ground.n} codim={self.codim} [{shown}]>"
 
 
+# the slots _number_vertices fills together
+_TABLES = frozenset(("ends", "dims", "vertex_leaves", "_edge_ids", "_leaf_at"))
+
+
 def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     """Rebuild the unique stable tree realizing a compatible split system.
 
@@ -357,11 +365,17 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     owner, which costs one read and one write per label: the whole pass is
     linear in the labels of the blocks.  Otherwise two owners differ and one
     of them crosses the block.  At the end a label's owner is where its
-    leaf hangs.  A depth-first walk, children by smallest label, numbers
-    the vertices and fills the per-edge and per-vertex tables.
+    leaf hangs.
 
-    Raises IncompatibleSplits naming a crossing pair of the given splits
-    when the system is not pairwise compatible.
+    That pass, with the ground check, runs here; the tree keeps each
+    block's parent and each label's owner.  The second phase, a depth-first
+    walk (children by smallest label) that numbers the vertices and fills
+    the per-edge and per-vertex tables, runs on the first read of any one
+    of those tables.
+
+    Raises GroundMismatch for a split on another ground set, and
+    IncompatibleSplits naming a crossing pair of the given splits when the
+    system is not pairwise compatible.
     """
     splits = frozenset(splits)
     ordered = ordered_splits(splits)
@@ -390,7 +404,15 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
         up[i] = j
         for lab in labels:
             owner[lab] = i
+    return StableTree(ground, ordered, splits, up, owner)
 
+
+def _number_vertices(tree: StableTree) -> None:
+    # tree_from_splits's second phase: fills every table slot from the
+    # parent and owner lists of its first, then drops those lists
+    up = tree._up
+    owner = tree._owner
+    k = len(up)
     # children by index, which is by smallest label
     kids: list[list[int]] = [[] for _ in range(k + 1)]
     for i, j in enumerate(up):
@@ -409,17 +431,20 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     edge_ids = [tuple(kids[k])]
     edge_ids += [(i, *kids[i]) for i in walk[1:]]
     # (parent, child) in `edges` order; the zip stops before the root's entry
-    ends = tuple(zip(map(vid.__getitem__, up), vid))
+    tree.ends = tuple(zip(map(vid.__getitem__, up), vid))
     # a list, since tuple() of a map has no length hint and would grow
     # through the tuple free lists
-    leaf_at = list(map(vid.__getitem__, owner[1:]))
+    leaf_at = tree._leaf_at = list(map(vid.__getitem__, owner[1:]))
     leaves_at: list[list[int]] = [[] for _ in edge_ids]
-    for lab, v in zip(ground.labels, leaf_at):
+    for lab, v in zip(tree.ground.labels, leaf_at):
         leaves_at[v].append(lab)
-    leaves = tuple(map(tuple, leaves_at))
-    dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edge_ids, leaves)])
+    leaves = tree.vertex_leaves = tuple(map(tuple, leaves_at))
+    dims = tree.dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edge_ids, leaves)])
+    # distinct splits whose sides both hold >= 2 labels give every vertex
+    # degree >= 3, so no input reaches this
     assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
-    return StableTree(ground, ordered, splits, ends, dims, leaves, tuple(edge_ids), leaf_at)
+    tree._edge_ids = tuple(edge_ids)
+    del tree._up, tree._owner
 
 
 def splits_of_links(

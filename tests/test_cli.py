@@ -1,6 +1,7 @@
 """Expression grammar, output formats, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -475,6 +476,17 @@ class TestEnumerate:
 
     def test_guard_exit_code(self, capsys):
         assert main(["enumerate", "--n", "10"]) == 2
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--n", "7"], "9cd1b261b6d4c030dbc3bef0540084cf02ab701e52034861f31bed58ec6fe0c1"),
+        (["--n", "8", "--codim", "2"],
+         "99462bf47ae2a64c65b98e65040efec819c1a00f6bdc1467234e967facadc31f"),
+    ])
+    def test_pinned_listing(self, argv, digest, capsys):
+        # sha256 of the whole listing, so the order of strata and of each
+        # stratum's splits is pinned along with their text
+        assert main(["enumerate", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCheck:

@@ -206,6 +206,12 @@ class TestFlagCertify:
         with pytest.raises(TooLarge):
             flag_certify(8)
 
+    def test_negative_sample_limit_is_refused(self):
+        with pytest.raises(ValueError, match="sample_limit"):
+            flag_certify(5, sample_limit=-1)
+        report = flag_certify(5, sample_limit=0)
+        assert report.pairs_checked == 0 and report.ok
+
 
 class TestGenerators:
     def test_random_trees_are_stable(self):

@@ -1,5 +1,6 @@
 """Splits, tree reconstruction, canonical equality, and enumeration."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from m0nbar.errors import (
     TooLarge,
     UnstableSplit,
 )
-from m0nbar.intersect import compatible
+from m0nbar.intersect import compatible, flag_equivalence
 from m0nbar.oracle import random_stable_tree
 from m0nbar.trees import (
     MarkedSet,
@@ -271,13 +272,61 @@ class TestSplitOfEdge:
                 split_of_edge(t, foreign)
 
 
-def mask_slot_is_unset(tree):
+def slot_is_unset(tree, name):
     # the slot itself, read past StableTree.__getattr__, which would fill it
     try:
-        object.__getattribute__(tree, "block_masks")
+        object.__getattribute__(tree, name)
     except AttributeError:
         return True
     return False
+
+
+TABLES = ("ends", "dims", "vertex_leaves", "_edge_ids", "_leaf_at")
+
+
+class TestLazyTables:
+    def test_unread_by_edges_masks_and_comparisons(self, nine_point_tree):
+        ground = MarkedSet.range(9)
+        t = tree_from_splits(ground, nine_point_tree.edges)
+        u = tree_from_splits(ground, nine_point_tree.edges[:2])
+        assert (t.codim, t.dim, t.num_vertices, len(t.vertices)) == (4, 2, 5, 5)
+        assert t.edges == nine_point_tree.edges and t.block_masks
+        assert flag_equivalence(t, u) and t == nine_point_tree and t != u
+        assert hash(t) == hash(nine_point_tree) and repr(t).startswith("<StableTree n=9 codim=4")
+        assert all(slot_is_unset(t, name) for name in TABLES)
+        assert all(slot_is_unset(u, name) for name in TABLES)
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_one_read_fills_every_table(self, name, nine_point_tree):
+        t = tree_from_splits(nine_point_tree.ground, nine_point_tree.edges)
+        assert not slot_is_unset(t, "_up") and not slot_is_unset(t, "_owner")
+        first = getattr(t, name)
+        assert not any(slot_is_unset(t, other) for other in TABLES)
+        assert getattr(t, name) is first
+        assert slot_is_unset(t, "block_masks")
+        for gone in ("_up", "_owner"):
+            with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
+                getattr(t, gone)
+
+    def test_tables_of_every_enumerated_tree(self):
+        # pins the value of every table of every tree at n = 3..7
+        digest = hashlib.sha256()
+        for n in range(3, 8):
+            for t in enumerate_stable_trees(n):
+                tables = (t.ends, t.dims, t.vertex_leaves, t._edge_ids, t._leaf_at, t.dim)
+                digest.update(repr(tables).encode())
+        assert digest.hexdigest() == (
+            "6aced1b1b0279893a2c7f94d8e34233bc73fa68768fd4bf3c654a90da4f161d0")
+
+    def test_split_of_edge_as_the_first_read(self):
+        rng = random.Random(18)
+        for n in range(4, 41):
+            edges = list(random_stable_tree(n, rng).edges)
+            rng.shuffle(edges)
+            t = tree_from_splits(MarkedSet.range(n), edges)
+            for e in edges:
+                assert split_of_edge(t, e) == e
+            assert sum(t.dims) == t.dim
 
 
 class TestBlockMasks:
@@ -296,10 +345,10 @@ class TestBlockMasks:
     def test_built_on_first_read_only(self):
         ground = MarkedSet.range(9)
         t = tree_from_splits(ground, [make_split(ground, {2, 3}), make_split(ground, {4, 5, 6})])
-        assert mask_slot_is_unset(t)
+        assert slot_is_unset(t, "block_masks")
         masks = t.block_masks
         assert masks == (0b110, 0b111000)
-        assert not mask_slot_is_unset(t) and t.block_masks is masks
+        assert not slot_is_unset(t, "block_masks") and t.block_masks is masks
         with pytest.raises(AttributeError, match="no attribute 'block_mask'"):
             t.block_mask
 
