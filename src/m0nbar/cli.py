@@ -381,16 +381,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _coloring_steps(expr: Expression) -> list[str]:
-    divisors = list(dict.fromkeys(
-        payload for kind, payload, exponent in expr.factors if kind == "divisor" and exponent > 0
-    ))
+def _coloring_steps(product: BoundaryProduct) -> list[str]:
+    # the product keeps each divisor once, at its first factor, and no X^0
+    divisors = list(product.divisor_powers)
     if not divisors:
         return []
     # every edge of the growing tree, and every witness, is one of the divisors
     name = {d: str(d) for d in divisors}
     steps = ["assembling the stratum one divisor at a time:", f"  start with {name[divisors[0]]}"]
-    tree = tree_from_splits(MarkedSet.range(expr.n), divisors[:1])
+    tree = tree_from_splits(product.ground, divisors[:1])
     for d in divisors[1:]:
         try:
             coloring = color_for_divisor(tree, d)
@@ -420,7 +419,7 @@ def _cmd_explain(args) -> int:
         f"+ psi {sum(product.psi_powers.values())}), n - 3 = {args.n - 3}",
     ]
     if args.coloring:
-        out += _coloring_steps(expr)
+        out += _coloring_steps(product)
     if report.decorated is not None:
         out.append(f"stratum has {len(report.vertices)} internal vertices:")
         for v, row in enumerate(report.vertices):

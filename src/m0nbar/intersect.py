@@ -95,10 +95,10 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     An internal edge is blue when one of its sides sits inside the
     divisor's canonical block, red when one of its sides contains that
     block; the divisor itself, if already an edge, is colored red.  A leaf
-    is blue when it belongs to the block.  The split vertex is found by
-    walking from the smallest blue leaf toward the smallest red leaf and
-    stopping just before the first red edge; which blue/red leaves are
-    chosen does not matter, and tests assert as much.
+    is blue when it belongs to the block.  The split vertex is the child
+    end of the smallest edge whose block contains the divisor's block, or
+    vertex 0 when no edge's block does: the vertex just below the first red
+    edge on the walk from a blue leaf toward vertex 0.
 
     Raises EdgeConditionFails naming a witness edge when the divisor is
     incompatible with the tree.
@@ -107,27 +107,22 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
         raise GroundMismatch("tree and divisor live on different ground sets")
     x = divisor.block_mask
     edge_colors: dict[Split, str] = {}
-    for e in tree.edges:
+    vertex = 0
+    for e, (_, child) in zip(tree.edges, tree.ends):
         b = e.block_mask
         if not _masks_compatible(b, x):
             raise EdgeConditionFails(e)
-        if b == x:
+        if b & x == x:
             edge_colors[e] = RED
+            # the blocks containing x form a chain, numbered depth-first
+            # from vertex 0, so the smallest has the largest child end
+            vertex = max(vertex, child)
         elif b & ~x == 0:
             edge_colors[e] = BLUE
         else:
             edge_colors[e] = RED
     leaf_colors = dict.fromkeys(tree.ground.labels, RED)
     leaf_colors.update(dict.fromkeys(divisor.block, BLUE))
-
-    blue_leaf = divisor.block[0]
-    red_leaf = tree.ground.labels[0]  # the smallest label is never in the block
-    vertices, edges = tree.leaf_path(blue_leaf, red_leaf)
-    vertex = vertices[-1]  # if no internal edge is red, the red leaf's own edge is
-    for i, e in enumerate(edges):
-        if edge_colors[e] == RED:
-            vertex = vertices[i]
-            break
     return Coloring(tree, edge_colors, leaf_colors, vertex)
 
 

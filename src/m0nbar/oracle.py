@@ -228,8 +228,9 @@ def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     running sums before each of the last ``slots - 1`` entries form a
     non-decreasing sequence in 0..total, and the tuple is that sequence's
     differences.  Sequences and tuples are in lexicographic order together.
+    A negative total has none.
     """
-    if slots == 0:
+    if slots == 0 or total < 0:
         if total == 0:
             yield ()
         return

@@ -235,24 +235,23 @@ class StableTree:
     the same edges as a set.  ``codim``, ``dim`` (n - 3 - codim) and
     ``num_vertices`` (codim + 1) are read off ``edges``.
 
-    The incidence is index tables: ``ends`` lists each edge's (parent,
-    child) in ``edges`` order, ``dims`` each vertex's dimension (degree - 3)
-    and ``vertex_leaves`` each vertex's leaves, both in vertex order, so
-    consumers zip them with ``edges`` and ``vertices`` instead of looking
-    edges up.  Privately each vertex lists the indices of its edges, the one
-    toward vertex 0 first, and label i's vertex sits at index i - 1 of the
-    leaf table.  The first read of any one table numbers the vertices and
-    fills them all, so a tree that only enumeration or a flag test reads
-    builds none; until then the tree keeps its builder's parent and owner
-    lists.  ``block_masks`` holds each edge's ``block_mask`` in ``edges``
+    The incidence is two tables: ``ends`` lists each edge's (parent, child)
+    in ``edges`` order, and privately label i's vertex sits at index i - 1
+    of the leaf table.  ``edges_at`` reads a vertex's edges off ``ends``.
+    Beside them, ``dims`` holds each vertex's dimension (degree - 3) and
+    ``vertex_leaves`` its leaves, both in vertex order, so consumers zip
+    them with ``edges`` and ``vertices`` instead of looking edges up.  The
+    first read of any one table numbers the vertices and fills them all,
+    so a tree that only enumeration or a flag test reads builds none; until
+    then the tree keeps its builder's parent and owner lists.  ``block_masks`` holds each edge's ``block_mask`` in ``edges``
     order and is likewise built on first read, on its own.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
-    __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_edge_ids",
-                 "_leaf_at", "block_masks", "_up", "_owner")
+    __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_leaf_at",
+                 "block_masks", "_up", "_owner")
 
     def __init__(self, ground, edges, splits, up, owner):
         self.ground = ground
@@ -292,7 +291,10 @@ class StableTree:
         raise AttributeError(f"'StableTree' object has no attribute '{name}'")
 
     def edges_at(self, v: int) -> tuple[Split, ...]:
-        return tuple(map(self.edges.__getitem__, self._edge_ids[v]))
+        """The edges at vertex v: the one toward vertex 0 first, then the rest in ``edges`` order."""
+        ends = self.ends
+        return (*(e for e, (_, child) in zip(self.edges, ends) if child == v),
+                *(e for e, (parent, _) in zip(self.edges, ends) if parent == v))
 
     def leaves_at(self, v: int) -> tuple[int, ...]:
         return self.vertex_leaves[v]
@@ -302,32 +304,6 @@ class StableTree:
         if not 0 < label <= self.ground.n:
             raise LabelOutOfRange(f"no leaf labeled {label}")
         return self._leaf_at[label - 1]
-
-    def leaf_path(self, a: int, b: int) -> tuple[list[int], list[Split]]:
-        """Vertices and internal edges on the walk from leaf a's vertex to leaf b's.
-
-        edges[i] joins vertices[i] and vertices[i+1].  Every vertex but 0
-        lists the edge toward vertex 0 first, so both walks climb by it.
-        """
-        va, vb = self.leaf_vertex(a), self.leaf_vertex(b)
-        up, up_ids = [va], []
-        v = va
-        while v:
-            i = self._edge_ids[v][0]
-            v = self.ends[i][0]
-            up.append(v)
-            up_ids.append(i)
-        where = {v: i for i, v in enumerate(up)}
-        down = []
-        v = vb
-        while v not in where:
-            i = self._edge_ids[v][0]
-            down.append((v, i))
-            v = self.ends[i][0]
-        i = where[v]
-        vertices = up[: i + 1] + [w for w, _ in reversed(down)]
-        ids = up_ids[:i] + [j for _, j in reversed(down)]
-        return vertices, list(map(self.edges.__getitem__, ids))
 
     def __eq__(self, other):
         if not isinstance(other, StableTree):
@@ -343,7 +319,7 @@ class StableTree:
 
 
 # the slots _number_vertices fills together
-_TABLES = frozenset(("ends", "dims", "vertex_leaves", "_edge_ids", "_leaf_at"))
+_TABLES = frozenset(("ends", "dims", "vertex_leaves", "_leaf_at"))
 
 
 def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
@@ -370,8 +346,8 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     That pass, with the ground check, runs here; the tree keeps each
     block's parent and each label's owner.  The second phase, a depth-first
     walk (children by smallest label) that numbers the vertices and fills
-    the per-edge and per-vertex tables, runs on the first read of any one
-    of those tables.
+    ``ends``, the leaf table, ``dims`` and ``vertex_leaves``, runs on the
+    first read of any one of them.
 
     Raises GroundMismatch for a split on another ground set, and
     IncompatibleSplits naming a crossing pair of the given splits when the
@@ -427,23 +403,23 @@ def _number_vertices(tree: StableTree) -> None:
         walk.append(i)
         stack += reversed(kids[i])
 
-    # each vertex lists the edge toward the root first, then its children's
-    edge_ids = [tuple(kids[k])]
-    edge_ids += [(i, *kids[i]) for i in walk[1:]]
     # (parent, child) in `edges` order; the zip stops before the root's entry
     tree.ends = tuple(zip(map(vid.__getitem__, up), vid))
     # a list, since tuple() of a map has no length hint and would grow
     # through the tuple free lists
     leaf_at = tree._leaf_at = list(map(vid.__getitem__, owner[1:]))
-    leaves_at: list[list[int]] = [[] for _ in edge_ids]
+    leaves_at: list[list[int]] = [[] for _ in walk]
     for lab, v in zip(tree.ground.labels, leaf_at):
         leaves_at[v].append(lab)
     leaves = tree.vertex_leaves = tuple(map(tuple, leaves_at))
-    dims = tree.dims = tuple([len(es) + len(ls) - 3 for es, ls in zip(edge_ids, leaves)])
+    # degree - 3: a block's vertex meets its parent edge, its children's
+    # edges and its leaves; the root has no parent edge
+    dims = [len(kids[i]) + len(ls) - 2 for i, ls in zip(walk, leaves)]
+    dims[0] -= 1
     # distinct splits whose sides both hold >= 2 labels give every vertex
     # degree >= 3, so no input reaches this
     assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
-    tree._edge_ids = tuple(edge_ids)
+    tree.dims = tuple(dims)
     del tree._up, tree._owner
 
 

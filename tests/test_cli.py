@@ -459,6 +459,35 @@ class TestExplain:
         assert "half-weight went negative" not in out
         assert out.endswith("value = 0 (no balanced weighting)\n")
 
+    def test_coloring_on_random_strata_is_pinned(self, capsys):
+        # random decorated strata at n = 8..40, factors shuffled, and for each
+        # one of codim >= 2 a twin whose last divisor crosses an edge of the
+        # others, with the same exponent, so the witness line is printed
+        rng = random.Random(19)
+        digest = hashlib.sha256()
+        for n in range(8, 41):
+            for _ in range(3):
+                decorated = oracle.random_decorated_tree(n, rng)
+                factors = [("divisor", e, k + 1) for e, k in decorated.edge_weight.items()]
+                factors += [("psi", lab, w) for lab, w in decorated.psi_weight.items()]
+                rng.shuffle(factors)
+                products = [factors]
+                at = [i for i, (kind, _, _) in enumerate(factors) if kind == "divisor"]
+                if len(at) >= 2:
+                    edge = factors[rng.choice(at[:-1])][1]
+                    inside = rng.choice(edge.block)
+                    outside = rng.choice([lab for lab in edge.complement if lab != 1])
+                    crossing = make_split(edge.ground, {inside, outside})
+                    twin = factors.copy()
+                    twin[at[-1]] = ("divisor", crossing, factors[at[-1]][2])
+                    products.append(twin)
+                for product in products:
+                    text = render(Expression(n, tuple(product)))
+                    assert main(["explain", "--coloring", "--n", str(n), text]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "b153124ec7bf3b74b4319ed4548e1a008703e7d98cade3a989eebcf8ec016c2d")
+
 
 class TestEnumerate:
     def test_codim_one_listing(self, capsys):

@@ -68,6 +68,31 @@ def beyond(tree, v, e):
     return e.block if v == parent else e.complement
 
 
+def leaf_path(tree, a, b):
+    """Vertices and edges on the walk from leaf a's vertex to leaf b's.
+
+    edges[i] joins vertices[i] and vertices[i+1].  Both leaves climb to
+    vertex 0 by the edge whose child is the current vertex; the climbs
+    share everything above the last common vertex.
+    """
+    parent_edge = {child: i for i, (_, child) in enumerate(tree.ends)}
+
+    def climb(v):
+        path = [v]
+        while v:
+            v = tree.ends[parent_edge[v]][0]
+            path.append(v)
+        return path
+
+    up, down = climb(tree.leaf_vertex(a)), climb(tree.leaf_vertex(b))
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    vertices = up + down[-2::-1]
+    ids = [parent_edge[v] for v in up[:-1]] + [parent_edge[v] for v in down[-2::-1]]
+    return vertices, [tree.edges[i] for i in ids]
+
+
 class TestCompatible:
     def test_nested_blocks(self):
         assert compatible(make_split(G5, {1, 2}), make_split(G5, {4, 5}))
@@ -141,22 +166,24 @@ class TestColoring:
                     assert coloring.edge_colors[e] == (BLUE if inside else RED)
 
     def test_split_vertex_is_path_independent(self):
-        # recompute the vertex from every blue/red leaf pair
-        for t in enumerate_stable_trees(5):
-            for d in all_divisors(5):
-                try:
-                    coloring = color_for_divisor(t, d)
-                except EdgeConditionFails:
-                    continue
-                for blue_leaf in d.block:
-                    for red_leaf in d.complement:
-                        vertices, edges = t.leaf_path(blue_leaf, red_leaf)
-                        vertex = vertices[-1]
-                        for i, e in enumerate(edges):
-                            if coloring.edge_colors[e] == RED:
-                                vertex = vertices[i]
-                                break
-                        assert vertex == coloring.split_vertex
+        # recompute the vertex from every blue/red leaf pair: walk from the
+        # blue leaf toward the red one and stop just before the first red edge
+        for n in (5, 6):
+            for t in enumerate_stable_trees(n):
+                for d in all_divisors(n):
+                    try:
+                        coloring = color_for_divisor(t, d)
+                    except EdgeConditionFails:
+                        continue
+                    for blue_leaf in d.block:
+                        for red_leaf in d.complement:
+                            vertices, edges = leaf_path(t, blue_leaf, red_leaf)
+                            vertex = vertices[-1]
+                            for i, e in enumerate(edges):
+                                if coloring.edge_colors[e] == RED:
+                                    vertex = vertices[i]
+                                    break
+                            assert vertex == coloring.split_vertex
 
 
 class TestMeetDivisor:

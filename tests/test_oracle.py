@@ -252,6 +252,8 @@ class TestGenerators:
     @staticmethod
     def _recursive_compositions(total, slots):
         # the reference order: each first entry, then the compositions of the rest
+        if total < 0:
+            return  # every part is non-negative
         if slots == 0:
             if total == 0:
                 yield ()
@@ -262,6 +264,11 @@ class TestGenerators:
         for first in range(total + 1):
             for rest in TestGenerators._recursive_compositions(total - first, slots - 1):
                 yield (first,) + rest
+
+    def test_negative_total_has_no_composition(self):
+        for total in (-1, -2, -7):
+            for slots in range(0, 5):
+                assert list(compositions(total, slots)) == [], (total, slots)
 
     def test_compositions_keep_the_recursive_order(self):
         for total in range(-2, 7):

@@ -1,5 +1,6 @@
 """Splits, tree reconstruction, canonical equality, and enumeration."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -20,6 +21,7 @@ from m0nbar.oracle import random_stable_tree
 from m0nbar.trees import (
     MarkedSet,
     Split,
+    StableTree,
     enumerate_stable_trees,
     make_split,
     ordered_splits,
@@ -218,6 +220,20 @@ class TestReconstruction:
             assert t.edges == ordered_splits(t.splits)
             assert frozenset(t.edges) == t.splits and len(t.edges) == t.codim
 
+    def test_edges_at_is_the_child_edge_then_the_parent_edges(self):
+        for n in range(3, 8):
+            for t in enumerate_stable_trees(n):
+                seen = collections.Counter()
+                for v in t.vertices:
+                    at = t.edges_at(v)
+                    up = [e for e, (_, c) in zip(t.edges, t.ends) if c == v]
+                    down = [e for e, (p, _) in zip(t.edges, t.ends) if p == v]
+                    assert list(at) == up + down and len(up) == (v != 0)
+                    assert t.dims[v] == len(at) + len(t.leaves_at(v)) - 3
+                    seen.update(at)
+                # every edge meets exactly its two ends
+                assert all(seen[e] == 2 for e in t.edges) and len(seen) == t.codim
+
     def test_vertex_numbering_is_deterministic(self, nine_point_tree):
         ground = MarkedSet.range(9)
         again = tree_from_splits(ground, reversed(ordered_splits(nine_point_tree.splits)))
@@ -281,7 +297,7 @@ def slot_is_unset(tree, name):
     return False
 
 
-TABLES = ("ends", "dims", "vertex_leaves", "_edge_ids", "_leaf_at")
+TABLES = ("ends", "dims", "vertex_leaves", "_leaf_at")
 
 
 class TestLazyTables:
@@ -295,6 +311,10 @@ class TestLazyTables:
         assert hash(t) == hash(nine_point_tree) and repr(t).startswith("<StableTree n=9 codim=4")
         assert all(slot_is_unset(t, name) for name in TABLES)
         assert all(slot_is_unset(u, name) for name in TABLES)
+
+    def test_no_edge_index_table(self):
+        # edges_at reads ends; no per-vertex table of edge indices is kept
+        assert "_edge_ids" not in StableTree.__slots__
 
     @pytest.mark.parametrize("name", TABLES)
     def test_one_read_fills_every_table(self, name, nine_point_tree):
@@ -313,7 +333,9 @@ class TestLazyTables:
         digest = hashlib.sha256()
         for n in range(3, 8):
             for t in enumerate_stable_trees(n):
-                tables = (t.ends, t.dims, t.vertex_leaves, t._edge_ids, t._leaf_at, t.dim)
+                # each vertex's edge indices, the edge toward vertex 0 first
+                edge_ids = tuple(tuple(map(t.edges.index, t.edges_at(v))) for v in t.vertices)
+                tables = (t.ends, t.dims, t.vertex_leaves, edge_ids, t._leaf_at, t.dim)
                 digest.update(repr(tables).encode())
         assert digest.hexdigest() == (
             "6aced1b1b0279893a2c7f94d8e34233bc73fa68768fd4bf3c654a90da4f161d0")
