@@ -11,7 +11,9 @@ Grammar for product expressions::
 The number of marked points is always the explicit --n flag, never
 inferred, because D{1,2} names different divisors for different n.  When
 the optional second block is written it must be the exact complement of
-the first.
+the first.  parse reads each factor, with the separator after it, in one
+regex match, then checks its values; a step-by-step reader runs only to
+name the first violation of a factor that fails the match or a check.
 
 Exit codes: 0 success (a value of 0 is a success), 1 the reader closed
 standard output before the output was written, 2 parse or usage error,
@@ -51,10 +53,12 @@ from .trees import MarkedSet, Split, enumerate_stable_trees, split_of_side, tree
 from .weights import EvalResult, _ratio, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
-# a block's labels and commas, matched as one run; parse() cuts it before an
-# empty label, which is faster than matching label by label
-_LABELS = re.compile(r"[0-9][0-9,]*")
-_SEPARATOR = re.compile(r"\s*(\*)?\s*")
+# a factor and its separator: a psi label (group 1) or a divisor's blocks
+# (2, 3), the exponent (4), the separator (5) with its '*' (6).  A block is
+# any run of digits and commas; parse's scan refuses an empty label.
+_FACTOR = re.compile(
+    r"(?:psi([0-9]+)|D\{([0-9,]+)\}(?:\|\{([0-9,]+)\})?)(?:\^([0-9]+))?(\s*(\*)?\s*)"
+)
 # json's C scanner reads "[1,2,...]" about twice as fast as int() per label;
 # it refuses leading zeros, which int() reads
 _scan_json = json.JSONDecoder().scan_once
@@ -79,98 +83,113 @@ class Expression(collections.namedtuple("Expression", "n factors")):
 def parse(text: str, n: int) -> Expression:
     """Parse an expression against the grammar above.
 
-    Each label block is one regex match, converted to ints by json's
-    scanner, and sorted.  Divisors are canonicalized immediately, from the
-    labels, so two spellings of the same divisor compare equal and no mask
-    is built.  Raises ParseError with a position on
-    grammar violations, LabelOutOfRange for labels outside 1..n, and
-    UnstableSplit for splits with a side smaller than two.
+    Each factor and its separator are one match of _FACTOR; only the value
+    checks run on its groups.  A divisor's labels, read by json's scanner
+    and sorted, canonicalize it at once, so two spellings of one divisor
+    compare equal and no mask is built.  A factor that fails the match or a
+    check goes to _violation, which reads it step by step only to name the
+    first violation.  Raises ParseError with a position on grammar
+    violations, LabelOutOfRange for labels outside 1..n, and UnstableSplit
+    for a split with a side smaller than two.
     """
     ground = MarkedSet.range(n)
     size = len(text)
     factors: list[tuple[str, object, int]] = []
-
-    def nat(p: int, what: str) -> tuple[int, int]:
-        m = _NAT.match(text, p)
-        if not m:
-            raise ParseError(p, f"expected {what}")
-        try:
-            return int(m.group()), m.end()
-        except ValueError:  # past sys.get_int_max_str_digits()
-            raise ParseError(p, f"{what} has too many digits") from None
-
-    def block(p: int) -> tuple[list[int], int]:
-        """The labels of the block at p, ascending, and the position after it."""
-        if not text.startswith("{", p):
-            raise ParseError(p, "expected '{'")
-        m = _LABELS.match(text, p + 1)
-        if not m:
-            raise ParseError(p + 1, "expected a label")
-        written = m.group()
-        # the labels end before the first empty one
-        empty = written.find(",,")
-        written = written[:empty] if empty >= 0 else written.rstrip(",")
-        try:
-            labels = _scan_json("[" + written + "]", 0)[0]
-        except ValueError:  # a leading zero, or a label too long for int()
-            digits = written.split(",")
-            try:
-                labels = list(map(int, digits))
-            except ValueError:
-                # every label before the first long one is shorter, so the
-                # long one's text first occurs where it is written
-                for lab in digits:
-                    nat(text.index(lab, p), "a label")
-                raise
-        q = p + 1 + len(written)
-        if text.startswith(",", q):
-            raise ParseError(q + 1, "expected a label")
-        if not text.startswith("}", q):
-            raise ParseError(q, "expected '}' or ','")
-        ordered = sorted(labels)
-        if len(set(ordered)) != len(ordered):
-            raise ParseError(p, "duplicate label in block")
-        if ordered[0] < 1 or ordered[-1] > n:
-            lab = next(lab for lab in labels if not 1 <= lab <= n)
-            raise LabelOutOfRange(f"label {lab} outside 1..{n}")
-        return ordered, q + 1
-
     pos = size - len(text.lstrip())
     if pos == size:
         raise ParseError(pos, "expected a factor")
     while True:
-        if text.startswith("psi", pos):
-            kind = "psi"
-            payload, pos = nat(pos + 3, "a marked-point label after 'psi'")
-            if not 1 <= payload <= n:
-                raise LabelOutOfRange(f"label {payload} outside 1..{n}")
-        elif text[pos] == "D":
-            kind = "divisor"
-            payload, pos = block(pos + 1)
-            if text.startswith("|", pos):
-                other, q = block(pos + 1)
-                if len(payload) + len(other) != n or not set(payload).isdisjoint(other):
-                    raise ParseError(
-                        pos + 1, "second block must be the exact complement of the first"
-                    )
-                pos = q
-        else:
-            raise ParseError(pos, "expected 'D{...}' or 'psiK'")
-        exponent = 1
-        if text.startswith("^", pos):
-            exponent, pos = nat(pos + 1, "an exponent")
+        m = _FACTOR.match(text, pos)
+        # no factor here, or one that runs into the next
+        if m is None or m.end() < size and m.start(5) == m.end():
+            raise _violation(text, pos, n)
+        psi, first, second, power = m.group(1, 2, 3, 4)
+        try:
+            if psi:
+                kind, payload = "psi", int(psi)
+                valid = 1 <= payload <= n
+            else:
+                kind = "divisor"
+                try:
+                    payload = _scan_json("[" + first + "]", 0)[0]
+                except (StopIteration, ValueError):  # an empty label, or a leading zero
+                    payload = list(map(int, first.split(",")))
+                payload.sort()
+                valid = len(set(payload)) == len(payload) and payload[0] > 0 and payload[-1] <= n
+                if second and valid:
+                    # the two blocks hold each label of 1..n once between them
+                    both = payload + list(map(int, second.split(",")))
+                    valid = sorted(both) == list(range(1, n + 1))
+            exponent = int(power) if power else 1
+        except ValueError:  # an empty label, or a literal past sys.get_int_max_str_digits()
+            valid = False
+        if not valid:
+            raise _violation(text, pos, n)
         if kind == "divisor":
             payload = split_of_side(ground, payload)
         factors.append((kind, payload, exponent))
-        m = _SEPARATOR.match(text, pos)
-        if m.end() == size:
-            if m.group(1):
-                raise ParseError(size, "expected a factor after '*'")
-            break
-        if m.end() == pos:
-            raise ParseError(pos, "expected '*' or whitespace between factors")
         pos = m.end()
-    return Expression(n, tuple(factors))
+        if pos == size:
+            if m.group(6):
+                raise ParseError(size, "expected a factor after '*'")
+            return Expression(n, tuple(factors))
+
+
+def _violation(text: str, pos: int, n: int) -> ParseError:
+    """Read the factor at pos step by step and raise its first violation.
+
+    parse calls this only for a factor that it could not take whole, so
+    when the factor itself reads, the separator after it is the violation,
+    and that error is returned for the caller to raise.
+    """
+    side = None
+    if text.startswith("psi", pos):
+        label, pos = _nat(text, pos + 3, "a marked-point label after 'psi'")
+        if not 1 <= label <= n:
+            raise LabelOutOfRange(f"label {label} outside 1..{n}")
+    elif text.startswith("D", pos):
+        side, pos = _block(text, pos + 1, n)
+        if text.startswith("|", pos):
+            other, q = _block(text, pos + 1, n)
+            if len(side) + len(other) != n or not set(side).isdisjoint(other):
+                raise ParseError(pos + 1, "second block must be the exact complement of the first")
+            pos = q
+    else:
+        raise ParseError(pos, "expected 'D{...}' or 'psiK'")
+    if text.startswith("^", pos):
+        pos = _nat(text, pos + 1, "an exponent")[1]
+    if side is not None:
+        split_of_side(MarkedSet.range(n), side)
+    return ParseError(pos, "expected '*' or whitespace between factors")
+
+
+def _nat(text: str, p: int, what: str) -> tuple[int, int]:
+    m = _NAT.match(text, p)
+    if not m:
+        raise ParseError(p, f"expected {what}")
+    try:
+        return int(m.group()), m.end()
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(p, f"{what} has too many digits") from None
+
+
+def _block(text: str, p: int, n: int) -> tuple[list[int], int]:
+    """The labels of the block whose '{' is at p, ascending, and the position after it."""
+    if not text.startswith("{", p):
+        raise ParseError(p, "expected '{'")
+    labels, q = [], p
+    while not labels or text.startswith(",", q):
+        label, q = _nat(text, q + 1, "a label")
+        labels.append(label)
+    if not text.startswith("}", q):
+        raise ParseError(q, "expected '}' or ','")
+    ordered = sorted(labels)
+    if len(set(ordered)) != len(ordered):
+        raise ParseError(p, "duplicate label in block")
+    if ordered[0] < 1 or ordered[-1] > n:
+        lab = next(lab for lab in labels if not 1 <= lab <= n)
+        raise LabelOutOfRange(f"label {lab} outside 1..{n}")
+    return ordered, q + 1
 
 
 def render(expr: Expression) -> str:

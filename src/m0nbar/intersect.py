@@ -225,7 +225,7 @@ class BoundaryProduct:
     def __init__(self, ground: MarkedSet, divisor_powers: dict[Split, int],
                  psi_powers: dict[int, int]):
         for s, k in divisor_powers.items():
-            if s.ground != ground:
+            if s.ground is not ground and s.ground != ground:
                 raise GroundMismatch(f"divisor {s} lives on a different ground set")
             if k < 1:
                 raise ValueError("divisor exponents must be >= 1")

@@ -17,7 +17,7 @@ import math
 from collections.abc import Mapping
 
 from .combinat import factorial, multinomial
-from .errors import DegreeMismatch, DimensionUnbalanced, NoBalanceGiven
+from .errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBalanceGiven
 from .intersect import DecoratedTree
 from .trees import Split
 
@@ -211,11 +211,15 @@ def _ratio(weighting: BalancedWeighting) -> int:
 def integrate_psi_monomial(n: int, exponents: Mapping[int, int]) -> int:
     """Top-degree psi-monomial integral on the n-pointed space.
 
-    Equals the multinomial coefficient (n-3; k_1, ..., k_n).  The exponents
-    must sum to n - 3, else DegreeMismatch.
+    Equals the multinomial coefficient (n-3; k_1, ..., k_n).  A label outside
+    1..n raises LabelOutOfRange, and the exponents must sum to n - 3, else
+    DegreeMismatch.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 marked points, got {n}")
+    for lab in exponents:
+        if not 0 < lab <= n:
+            raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
     total = sum(exponents.values())
     if total != n - 3:
         raise DegreeMismatch(f"psi degrees sum to {total}, need n - 3 = {n - 3}")

@@ -176,6 +176,19 @@ class TestParse:
                      "a label has too many digits", id="long-last-label"),
         pytest.param("D{" + "1" * 4400 + ",2", 6, ParseError, 2,
                      "a label has too many digits", id="long-label-unclosed"),
+        # a factor that reads in part: the first violation, not the separator
+        ("D{1,2}^x", 5, ParseError, 7, "expected an exponent"),
+        ("psi1^2psi2", 5, ParseError, 6, "expected '*' or whitespace between factors"),
+        ("psi1 *", 5, ParseError, 6, "expected a factor after '*'"),
+        ("D{1,1}x", 5, ParseError, 1, "duplicate label in block"),
+        pytest.param("psi9^" + "1" * 4400, 5, LabelOutOfRange, None,
+                     "label 9 outside 1..5", id="range-before-long-exponent"),
+        pytest.param("psi" + "1" * 4400, 5, ParseError, 3,
+                     "a marked-point label after 'psi' has too many digits", id="long-psi-label"),
+        pytest.param("psi1^" + "1" * 4400, 5, ParseError, 5,
+                     "an exponent has too many digits", id="long-exponent"),
+        pytest.param("D{1,2}|{3," + "1" * 4400 + ",5}", 5, ParseError, 10,
+                     "a label has too many digits", id="long-label-second-block"),
     ],
 )
 def test_parse_diagnostics(text, n, error, position, message):
@@ -186,6 +199,78 @@ def test_parse_diagnostics(text, n, error, position, message):
         assert str(info.value) == message
     else:
         assert (info.value.position, info.value.message) == (position, message)
+
+
+@pytest.mark.parametrize(
+    "text, n, factors",
+    [
+        ("D{01,2}", 5, [("divisor", (3, 4, 5), 1)]),
+        ("D{2,1}", 5, [("divisor", (3, 4, 5), 1)]),
+        ("D{1,2}|{3,4,5}^2", 5, [("divisor", (3, 4, 5), 2)]),
+        ("D{1,2}\u3000psi3", 5, [("divisor", (3, 4, 5), 1), ("psi", 3, 1)]),
+        ("\tpsi1^2 *psi2\n", 6, [("psi", 1, 2), ("psi", 2, 1)]),
+    ],
+)
+def test_parse_spellings(text, n, factors):
+    # leading zeros, unsorted labels, the written complement, Unicode spaces
+    assert _outcome(text, n) == factors
+
+
+def _outcome(text, n):
+    """parse's factors, with each split as its block, or the error it raises."""
+    try:
+        expr = parse(text, n)
+    except ParseError as exc:
+        return ["ParseError", exc.position, exc.message]
+    except (LabelOutOfRange, UnstableSplit) as exc:
+        return [type(exc).__name__, str(exc)]
+    return [(kind, payload.block if kind == "divisor" else payload, exponent)
+            for kind, payload, exponent in expr.factors]
+
+
+def _parse_corpus(rng, count):
+    """(text, n): products at n 3..30 that mostly follow the grammar, half of them mutated."""
+    pieces = ["D", "{", "}", "|", "^", ",", "*", "psi", "0", "9", " ", "\u3000", "x", "\n"]
+    separators = [" "] * 8 + ["*", " * ", "\t", "\u3000", "", "**"]
+    for _ in range(count):
+        n = rng.randint(3, 30)
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                text = "psi" + str(rng.choice([0, n + 1] if rng.random() < 0.05 else range(1, n + 1)))
+            else:
+                stable = n > 3 and rng.random() < 0.9
+                side = rng.sample(range(1, n + 1), rng.randint(2, n - 2) if stable else 1)
+                labels = [str(lab) for lab in side]
+                if rng.random() < 0.05:
+                    labels.append(rng.choice(labels + ["0", str(n + 1), "0" + labels[0]]))
+                text = "D{" + ",".join(labels) + "}"
+                if rng.random() < 0.3:
+                    rest = [lab for lab in range(1, n + 1) if lab not in side]
+                    if rng.random() < 0.2:
+                        rest.pop()
+                    text += "|{" + ",".join(map(str, rest or side)) + "}"
+            if rng.random() < 0.5:
+                text += "^" + str(rng.randint(0, 4))
+            factors.append(text)
+        text = "".join(f + rng.choice(separators) for f in factors)
+        if rng.random() < 0.8:
+            text = text.rstrip()
+        for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
+            at = rng.randint(0, len(text))
+            cut = at + rng.randint(0, 3)
+            piece = "7" * 4400 if rng.random() < 0.02 else rng.choice(pieces)
+            text = text[:at] + rng.choice([piece, "", text[at:cut] * 2]) + text[cut:]
+        yield text, n
+
+
+def test_parse_outcomes_are_pinned():
+    # factors or error of 20,000 seeded products: a change to what parse
+    # accepts, or to an error's class, position or message, moves the digest
+    digest = hashlib.sha256()
+    for text, n in _parse_corpus(random.Random(20), 20_000):
+        digest.update(repr(_outcome(text, n)).encode() + b"\n")
+    assert digest.hexdigest() == "bcfffc73721b660ff1a555523c8423f5b57765267db5b2dfa256ed997a7fbdfa"
 
 
 class TestEval:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from m0nbar.errors import DegreeMismatch, DimensionUnbalanced, NoBalanceGiven
+from m0nbar.errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBalanceGiven
 from m0nbar.intersect import BoundaryProduct, DecoratedTree, product_to_decorated
 from m0nbar.oracle import expansion_eval, random_decorated_tree, surviving_decompositions
 from m0nbar.trees import MarkedSet, make_split, tree_from_splits
@@ -256,6 +256,14 @@ class TestPsiIntegral:
     def test_degree_enforcement(self):
         with pytest.raises(DegreeMismatch):
             integrate_psi_monomial(6, {1: 1})
+
+    @pytest.mark.parametrize("label", [0, 6, 7])
+    def test_label_outside_the_ground_set(self, label):
+        # psi_7 does not exist on the 5-pointed space, as BoundaryProduct says
+        with pytest.raises(LabelOutOfRange, match=f"label {label} is not in 1..5"):
+            integrate_psi_monomial(5, {label: 2})
+        with pytest.raises(LabelOutOfRange, match=f"label {label} is not in 1..5"):
+            BoundaryProduct(MarkedSet.range(5), {}, {label: 2})
 
 
 def test_empty_product_on_three_points_is_one():
