@@ -49,7 +49,7 @@ from .intersect import (
     meet_divisor,
     product_to_decorated,
 )
-from .trees import MarkedSet, Split, enumerate_stable_trees, split_of_side, tree_from_splits
+from .trees import MarkedSet, Split, _families, split_of_side, tree_from_splits
 from .weights import EvalResult, _ratio, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
@@ -471,21 +471,22 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    count = 0
-    # each split is named once: the 39,208 strata at n = 8 list 246 splits
-    name: dict[Split, str] = {}
-    for tree in enumerate_stable_trees(args.n, args.codim):
-        count += 1
-        if not args.count_only:
-            if tree.codim == 0:
-                print("(trivial stratum)")
-            else:
-                for e in tree.edges:
-                    if e not in name:
-                        name[e] = str(e)
-                print(" ; ".join(map(name.__getitem__, tree.edges)))
+    # the strata's block masks, in enumerate_stable_trees order: no tree is built
+    families = _families(args.n, args.codim)
     if args.count_only:
-        print(count)
+        print(sum(1 for _ in families))
+        return 0
+    ground = MarkedSet.range(args.n)
+    # each split is named once: the 39,208 strata at n = 8 list 246 splits;
+    # its block leads the entry, so sorted entries are in `edges` order
+    named: dict[int, tuple[tuple[int, ...], str]] = {}
+    for family in families:
+        for m in family:
+            if m not in named:
+                s = Split(ground, m)
+                named[m] = (s.block, str(s))
+        shown = [name for _, name in sorted(map(named.__getitem__, family))]
+        print(" ; ".join(shown) if family else "(trivial stratum)")
     return 0
 
 

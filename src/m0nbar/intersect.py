@@ -208,11 +208,16 @@ def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
     """
     if t1.ground is not t2.ground and t1.ground != t2.ground:
         raise GroundMismatch("strata live on different ground sets")
-    # the test of _masks_compatible, inlined with no tuple built per test:
-    # this runs once per pair a flag certification draws
-    masks = t2.block_masks
-    for a in t1.block_masks:
-        for b in masks:
+    return _blocks_meet(t1.block_masks, t2.block_masks)
+
+
+def _blocks_meet(masks1: Sequence[int], masks2: Sequence[int]) -> bool:
+    # flag_equivalence on two split systems of one ground set, given as
+    # block masks in any order; flag_certify calls it on enumerated
+    # families.  The test of _masks_compatible, inlined with no tuple built
+    # per test: this runs once per pair a flag certification draws
+    for a in masks1:
+        for b in masks2:
             c = a & b
             if c and c != a and c != b:
                 return False

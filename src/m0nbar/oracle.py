@@ -20,11 +20,12 @@ from functools import lru_cache
 
 from .combinat import multinomial
 from .errors import BudgetExceeded, DegreeMismatch, DimensionUnbalanced, TooLarge
-from .intersect import DecoratedTree, flag_equivalence
+from .intersect import DecoratedTree, _blocks_meet
 from .trees import (
     MarkedSet,
+    Split,
     StableTree,
-    enumerate_stable_trees,
+    _families,
     splits_of_links,
     tree_from_splits,
 )
@@ -159,17 +160,21 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
     """Certify that strata meet exactly when their edges are all compatible.
 
     Runs over unordered pairs (self-pairs included) of strata of positive
-    codimension on 1..n.  For each pair, the edgewise compatibility
-    predicate ``flag_equivalence`` is compared against an independent
-    witness: whether the union of the two split systems occurs among the
-    enumerated trees.  Since the enumerated systems are closed under
-    subsets, that membership test is equivalent to searching for any
-    enumerated coarsening containing both.
+    codimension on 1..n, in the order of ``enumerate_stable_trees(n)``.
+    For each pair, the edgewise compatibility predicate of
+    ``flag_equivalence`` is compared against an independent witness:
+    whether the union of the two split systems occurs among the enumerated
+    trees.  Since the enumerated systems are closed under subsets, that
+    membership test is equivalent to searching for any enumerated
+    coarsening containing both.
 
-    Each enumerated split system is encoded once as an int, with bit ``m``
-    set for each block mask ``m``.  On one ground set a split is its block
-    mask, so the union of two systems is the OR of their ints, and the
-    witness is that OR's membership in the set of enumerated ints.
+    Both sides run on block masks: each stratum is its enumerated family
+    of masks, and no tree is built unless a pair disagrees.  Each family is
+    also encoded once as an int, with bit ``m`` set for each block mask
+    ``m``.  On one ground set a split is its block mask, so the union of
+    two systems is the OR of their ints, and the witness is that OR's
+    membership in the set of enumerated ints.  The pairs that disagree are
+    reported as (StableTree, StableTree).
 
     With ``sample_limit`` set and fewer than the full number of pairs,
     ``sample_limit`` pairs are drawn reproducibly from ``seed``: the same
@@ -182,9 +187,9 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
         raise TooLarge(f"flag certification runs for 4 <= n <= {FLAG_LIMIT}, got {n}")
     if sample_limit is not None and sample_limit < 0:
         raise ValueError(f"sample_limit must be >= 0, got {sample_limit}")
-    strata = [t for t in enumerate_stable_trees(n) if t.codim >= 1]
-    # a tree's splits have distinct masks, so the sum is the OR of the bits
-    own = [sum(1 << m for m in t.block_masks) for t in strata]
+    strata = [family for family in _families(n) if family]
+    # a family's masks are distinct, so the sum is the OR of the bits
+    own = [sum(1 << m for m in family) for family in strata]
     systems = set(own)
     count = len(strata)
     total = count * (count + 1) // 2
@@ -196,11 +201,13 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
         checked = total
     discrepancies = []
     for i, j in pairs:
-        t1 = strata[i]
-        t2 = strata[j]
-        if flag_equivalence(t1, t2) != ((own[i] | own[j]) in systems):
-            discrepancies.append((t1, t2))
-    return FlagReport(n, checked, tuple(discrepancies))
+        if _blocks_meet(strata[i], strata[j]) != ((own[i] | own[j]) in systems):
+            discrepancies.append((i, j))
+    # the trees of the strata in a discrepancy, each built once
+    ground = MarkedSet.range(n)
+    trees = {i: tree_from_splits(ground, [Split(ground, m) for m in strata[i]])
+             for i in {i for pair in discrepancies for i in pair}}
+    return FlagReport(n, checked, tuple((trees[i], trees[j]) for i, j in discrepancies))
 
 
 def _sampled_pairs(rng: random.Random, count: int, limit: int) -> Iterator[tuple[int, int]]:

@@ -240,25 +240,28 @@ class StableTree:
     of the leaf table.  ``edges_at`` reads a vertex's edges off ``ends``.
     Beside them, ``dims`` holds each vertex's dimension (degree - 3) and
     ``vertex_leaves`` its leaves, both in vertex order, so consumers zip
-    them with ``edges`` and ``vertices`` instead of looking edges up.  The
-    first read of any one table numbers the vertices and fills them all,
-    so a tree that only enumeration or a flag test reads builds none; until
-    then the tree keeps its builder's parent and owner lists.  ``block_masks`` holds each edge's ``block_mask`` in ``edges``
-    order and is likewise built on first read, on its own.
+    them with ``edges`` and ``vertices`` instead of looking edges up.
+    :func:`tree_from_splits` fills all four when it builds the tree, since
+    every caller that builds one reads them; the ``enumerate`` command and
+    ``flag_certify``, which need only split systems, work on block masks
+    and build no tree.  ``block_masks`` holds each edge's ``block_mask`` in
+    ``edges`` order and is built on its first read.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
     __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_leaf_at",
-                 "block_masks", "_up", "_owner")
+                 "block_masks")
 
-    def __init__(self, ground, edges, splits, up, owner):
+    def __init__(self, ground, edges, splits, ends, dims, vertex_leaves, leaf_at):
         self.ground = ground
         self.edges = edges
         self.splits = splits
-        self._up = up
-        self._owner = owner
+        self.ends = ends
+        self.dims = dims
+        self.vertex_leaves = vertex_leaves
+        self._leaf_at = leaf_at
 
     @property
     def num_vertices(self) -> int:
@@ -279,12 +282,9 @@ class StableTree:
         return self.ground.n - 3 - len(self.edges)
 
     def __getattr__(self, name):
-        # called only when the normal lookup fails, as it does for the table
-        # and block_masks slots until a first read fills them: every later
-        # read is a plain slot load
-        if name in _TABLES:
-            _number_vertices(self)
-            return getattr(self, name)
+        # called only when the normal lookup fails, as it does for the
+        # block_masks slot until a first read fills it: every later read is
+        # a plain slot load
         if name == "block_masks":
             masks = self.block_masks = tuple(s.block_mask for s in self.edges)
             return masks
@@ -318,10 +318,6 @@ class StableTree:
         return f"<StableTree n={self.ground.n} codim={self.codim} [{shown}]>"
 
 
-# the slots _number_vertices fills together
-_TABLES = frozenset(("ends", "dims", "vertex_leaves", "_leaf_at"))
-
-
 def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     """Rebuild the unique stable tree realizing a compatible split system.
 
@@ -343,11 +339,10 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     of them crosses the block.  At the end a label's owner is where its
     leaf hangs.
 
-    That pass, with the ground check, runs here; the tree keeps each
-    block's parent and each label's owner.  The second phase, a depth-first
-    walk (children by smallest label) that numbers the vertices and fills
-    ``ends``, the leaf table, ``dims`` and ``vertex_leaves``, runs on the
-    first read of any one of them.
+    A depth-first walk from the root (children by smallest label) then
+    numbers the vertices, and the tree's ``ends``, leaf table, ``dims`` and
+    ``vertex_leaves`` are filled from the parents and owners before it is
+    returned.
 
     Raises GroundMismatch for a split on another ground set, and
     IncompatibleSplits naming a crossing pair of the given splits when the
@@ -380,15 +375,7 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
         up[i] = j
         for lab in labels:
             owner[lab] = i
-    return StableTree(ground, ordered, splits, up, owner)
 
-
-def _number_vertices(tree: StableTree) -> None:
-    # tree_from_splits's second phase: fills every table slot from the
-    # parent and owner lists of its first, then drops those lists
-    up = tree._up
-    owner = tree._owner
-    k = len(up)
     # children by index, which is by smallest label
     kids: list[list[int]] = [[] for _ in range(k + 1)]
     for i, j in enumerate(up):
@@ -404,14 +391,14 @@ def _number_vertices(tree: StableTree) -> None:
         stack += reversed(kids[i])
 
     # (parent, child) in `edges` order; the zip stops before the root's entry
-    tree.ends = tuple(zip(map(vid.__getitem__, up), vid))
+    ends = tuple(zip(map(vid.__getitem__, up), vid))
     # a list, since tuple() of a map has no length hint and would grow
     # through the tuple free lists
-    leaf_at = tree._leaf_at = list(map(vid.__getitem__, owner[1:]))
+    leaf_at = list(map(vid.__getitem__, owner[1:]))
     leaves_at: list[list[int]] = [[] for _ in walk]
-    for lab, v in zip(tree.ground.labels, leaf_at):
+    for lab, v in zip(ground.labels, leaf_at):
         leaves_at[v].append(lab)
-    leaves = tree.vertex_leaves = tuple(map(tuple, leaves_at))
+    leaves = tuple(map(tuple, leaves_at))
     # degree - 3: a block's vertex meets its parent edge, its children's
     # edges and its leaves; the root has no parent edge
     dims = [len(kids[i]) + len(ls) - 2 for i, ls in zip(walk, leaves)]
@@ -419,8 +406,7 @@ def _number_vertices(tree: StableTree) -> None:
     # distinct splits whose sides both hold >= 2 labels give every vertex
     # degree >= 3, so no input reaches this
     assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
-    tree.dims = tuple(dims)
-    del tree._up, tree._owner
+    return StableTree(ground, ordered, splits, ends, tuple(dims), leaves, leaf_at)
 
 
 def splits_of_links(
@@ -485,26 +471,25 @@ def enumerate_stable_trees(n: int, codim: int | None = None) -> Iterator[StableT
 
     With ``codim`` given, only trees with exactly that many internal edges
     are produced.  Guarded at n <= 9 so exhaustive verification stays at
-    desk scale; larger n raises TooLarge.
+    desk scale; larger n raises TooLarge.  Each tree is ``tree_from_splits``
+    of one family of block masks, in the order the ``enumerate`` command
+    and ``flag_certify`` read the same families without building trees.
     """
+    families = _families(n, codim)
+    ground = MarkedSet.range(n)
+    # one Split per block, shared by every tree, so each block's labels are read once
+    split = functools.cache(functools.partial(Split, ground))
+    return (tree_from_splits(ground, map(split, family)) for family in families)
+
+
+def _families(n: int, codim: int | None = None) -> Iterator[tuple[int, ...]]:
+    # The block masks of each stratum enumerate_stable_trees(n, codim)
+    # yields, in its order, for callers that need only split systems.  The
+    # guard is checked here, before the first family is asked for.
     if n > ENUMERATION_LIMIT:
         raise TooLarge(f"exhaustive enumeration is guarded at n <= {ENUMERATION_LIMIT}, got {n}")
-    ground = MarkedSet.range(n)
-
-    def generate():
-        space = ground.full_mask & ~1
-        # one Split per block, shared by every tree, so each block's labels
-        # are read once
-        splits: dict[int, Split] = {}
-        for family in _laminar_families(space):
-            if codim is not None and len(family) != codim:
-                continue
-            for m in family:
-                if m not in splits:
-                    splits[m] = Split(ground, m)
-            yield tree_from_splits(ground, tuple(map(splits.__getitem__, family)))
-
-    return generate()
+    families = _laminar_families(MarkedSet.range(n).full_mask & ~1)
+    return families if codim is None else (f for f in families if len(f) == codim)
 
 
 def _laminar_families(space: int) -> Iterator[tuple[int, ...]]:

@@ -32,7 +32,7 @@ from m0nbar.cli import (
 )
 from m0nbar.errors import DegreeMismatch, LabelOutOfRange, ParseError, TooLarge, UnstableSplit
 from m0nbar.oracle import random_stable_tree
-from m0nbar.trees import MarkedSet, Split, make_split, tree_from_splits
+from m0nbar.trees import MarkedSet, Split, enumerate_stable_trees, make_split, tree_from_splits
 
 EXAMPLE = "D{1,2}^2 D{3,4,5}^3 D{1,2,3,4,5,6,7,8}^4 D{11,12} D{13,14,15}^2"
 PSI_EXAMPLE = "psi4 psi7^2 D{1,2}^2 D{3,4,5} D{1,2,3,4,5,6,7,8}^3 D{11,12} D{13,14,15}^2"
@@ -591,6 +591,23 @@ class TestEnumerate:
     def test_guard_exit_code(self, capsys):
         assert main(["enumerate", "--n", "10"]) == 2
 
+    def test_counts(self, capsys):
+        for n, count in zip(range(4, 9), (4, 26, 236, 2752, 39208)):
+            assert main(["enumerate", "--n", str(n), "--count-only"]) == 0
+            assert capsys.readouterr() == (f"{count}\n", "")
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_listing_is_the_tree_listing(self, n, capsys):
+        # the listing read off block masks against one written from the
+        # enumerated trees, at every codimension and one past each end
+        trees = list(enumerate_stable_trees(n))
+        for codim in (None, *range(-1, n - 1)):
+            argv = ["enumerate", "--n", str(n)] + ([] if codim is None else ["--codim", str(codim)])
+            assert main(argv) == 0
+            lines = [" ; ".join(map(str, t.edges)) if t.edges else "(trivial stratum)"
+                     for t in trees if codim in (None, t.codim)]
+            assert capsys.readouterr() == ("".join(line + "\n" for line in lines), "")
+
     @pytest.mark.parametrize("argv, digest", [
         (["--n", "7"], "9cd1b261b6d4c030dbc3bef0540084cf02ab701e52034861f31bed58ec6fe0c1"),
         (["--n", "8", "--codim", "2"],
@@ -683,7 +700,7 @@ class TestCheck:
         [
             ("string", "string_eq_psi_integral", lambda real: lambda n, e: real(n, e) + 1,
              [(3, 1, 1), (4, 4, 4), (5, 15, 15), (6, 56, 56)]),
-            ("flag", "flag_equivalence", lambda real: lambda t1, t2: True,
+            ("flag", "_blocks_meet", lambda real: lambda masks1, masks2: True,
              [(4, 6, 3), (5, 325, 255), (6, 27730, 25920)]),
             ("expansion", "surviving_decompositions", lambda real: lambda decorated: [],
              [(4, 300, 300), (5, 300, 294), (6, 300, 258)]),

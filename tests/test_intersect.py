@@ -13,6 +13,7 @@ from m0nbar.intersect import (
     RED,
     BoundaryProduct,
     DecoratedTree,
+    _blocks_meet,
     apply_coloring,
     color_for_divisor,
     compatible,
@@ -25,6 +26,7 @@ from m0nbar.intersect import (
 from m0nbar.oracle import random_decorated_tree, random_stable_tree
 from m0nbar.trees import (
     MarkedSet,
+    _families,
     enumerate_stable_trees,
     make_split,
     tree_equal,
@@ -335,6 +337,16 @@ class TestFlagEquivalence:
         for t1, t2 in itertools.product(trees, repeat=2):
             expected = all(compatible(s1, s2) for s1 in t1.edges for s2 in t2.edges)
             assert flag_equivalence(t1, t2) == expected
+
+    def test_is_the_mask_predicate_on_enumerated_families(self):
+        # flag_certify calls _blocks_meet on the enumerated mask families
+        # directly, so it certifies the predicate flag_equivalence runs
+        for n in (3, 4, 5):
+            trees = list(enumerate_stable_trees(n))
+            families = list(_families(n))
+            assert len(families) == len(trees)
+            for (t1, f1), (t2, f2) in itertools.product(zip(trees, families), repeat=2):
+                assert flag_equivalence(t1, t2) == _blocks_meet(f1, f2)
 
     def test_ground_mismatch(self):
         t5 = tree_from_splits(G5, (make_split(G5, {1, 2}),))

@@ -177,7 +177,7 @@ class TestFlagCertify:
         assert list(_sampled_pairs(random.Random(seed), count, 2000)) == expected
 
     def test_a_predicate_that_always_meets_is_caught(self, monkeypatch):
-        monkeypatch.setattr(oracle, "flag_equivalence", lambda t1, t2: True)
+        monkeypatch.setattr(oracle, "_blocks_meet", lambda masks1, masks2: True)
 
         def unrealized(strata, pairs):
             # the witness as it was first written: the frozenset union of
@@ -199,6 +199,32 @@ class TestFlagCertify:
         assert report.pairs_checked == 500
         expected = unrealized(strata, drawn)
         assert expected and report.discrepancies == expected
+
+    @pytest.mark.parametrize("n, limit, seed", [(4, None, 0), (5, None, 0), (6, None, 0),
+                                                (7, 20_000, 1)])
+    def test_walks_the_enumerated_strata_in_order(self, n, limit, seed, monkeypatch):
+        # pair index i names the i-th stratum of enumerate_stable_trees(n),
+        # so a seed draws the same pairs of strata as a walk over the trees;
+        # masks are compared as sets, since a family need not list them in
+        # edges order
+        strata = [sorted(t.block_masks) for t in enumerate_stable_trees(n) if t.codim]
+        walked = []
+        real = oracle._blocks_meet
+
+        def recorded(masks1, masks2):
+            walked.append((sorted(masks1), sorted(masks2)))
+            return real(masks1, masks2)
+
+        monkeypatch.setattr(oracle, "_blocks_meet", recorded)
+        assert flag_certify(n, limit, seed).ok
+        count = len(strata)
+        if limit is None:
+            pairs = list(itertools.combinations_with_replacement(range(count), 2))
+        else:
+            rng = random.Random(seed)
+            pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(limit)]
+        assert {i for pair in pairs for i in pair} == set(range(count))
+        assert walked == [(strata[i], strata[j]) for i, j in pairs]
 
     def test_guard(self):
         with pytest.raises(TooLarge):

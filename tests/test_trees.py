@@ -16,7 +16,7 @@ from m0nbar.errors import (
     TooLarge,
     UnstableSplit,
 )
-from m0nbar.intersect import compatible, flag_equivalence
+from m0nbar.intersect import compatible
 from m0nbar.oracle import random_stable_tree
 from m0nbar.trees import (
     MarkedSet,
@@ -300,33 +300,34 @@ def slot_is_unset(tree, name):
 TABLES = ("ends", "dims", "vertex_leaves", "_leaf_at")
 
 
-class TestLazyTables:
-    def test_unread_by_edges_masks_and_comparisons(self, nine_point_tree):
-        ground = MarkedSet.range(9)
-        t = tree_from_splits(ground, nine_point_tree.edges)
-        u = tree_from_splits(ground, nine_point_tree.edges[:2])
+class TestTables:
+    def test_filled_by_the_build(self, nine_point_tree):
+        # tree_from_splits returns every table filled; only block_masks waits
+        # for its first read
+        t = tree_from_splits(nine_point_tree.ground, reversed(nine_point_tree.edges))
+        assert not any(slot_is_unset(t, name) for name in TABLES)
+        # the block {2,3,5,6,7,8,9} holds {2,6,8} and {3,5,7,9}, which holds {3,9}
+        assert t.ends == ((0, 1), (1, 2), (1, 3), (3, 4))
+        assert t.dims == (0, 0, 1, 1, 0)
+        assert t.vertex_leaves == ((1, 4), (), (2, 6, 8), (5, 7), (3, 9))
+        assert t._leaf_at == [0, 2, 4, 0, 3, 2, 3, 2, 4]
         assert (t.codim, t.dim, t.num_vertices, len(t.vertices)) == (4, 2, 5, 5)
-        assert t.edges == nine_point_tree.edges and t.block_masks
-        assert flag_equivalence(t, u) and t == nine_point_tree and t != u
-        assert hash(t) == hash(nine_point_tree) and repr(t).startswith("<StableTree n=9 codim=4")
-        assert all(slot_is_unset(t, name) for name in TABLES)
-        assert all(slot_is_unset(u, name) for name in TABLES)
+        assert t == nine_point_tree and hash(t) == hash(nine_point_tree)
+        assert repr(t).startswith("<StableTree n=9 codim=4")
+        # reading the tables and comparing trees fills no mask
+        assert slot_is_unset(t, "block_masks")
+
+    def test_keeps_no_parent_or_owner_lists(self, nine_point_tree):
+        # the parent and owner lists of the build are not slots of the tree
+        t = tree_from_splits(nine_point_tree.ground, nine_point_tree.edges)
+        for gone in ("_up", "_owner"):
+            assert gone not in StableTree.__slots__
+            with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
+                getattr(t, gone)
 
     def test_no_edge_index_table(self):
         # edges_at reads ends; no per-vertex table of edge indices is kept
         assert "_edge_ids" not in StableTree.__slots__
-
-    @pytest.mark.parametrize("name", TABLES)
-    def test_one_read_fills_every_table(self, name, nine_point_tree):
-        t = tree_from_splits(nine_point_tree.ground, nine_point_tree.edges)
-        assert not slot_is_unset(t, "_up") and not slot_is_unset(t, "_owner")
-        first = getattr(t, name)
-        assert not any(slot_is_unset(t, other) for other in TABLES)
-        assert getattr(t, name) is first
-        assert slot_is_unset(t, "block_masks")
-        for gone in ("_up", "_owner"):
-            with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
-                getattr(t, gone)
 
     def test_tables_of_every_enumerated_tree(self):
         # pins the value of every table of every tree at n = 3..7
@@ -340,7 +341,7 @@ class TestLazyTables:
         assert digest.hexdigest() == (
             "6aced1b1b0279893a2c7f94d8e34233bc73fa68768fd4bf3c654a90da4f161d0")
 
-    def test_split_of_edge_as_the_first_read(self):
+    def test_split_of_edge_on_shuffled_input(self):
         rng = random.Random(18)
         for n in range(4, 41):
             edges = list(random_stable_tree(n, rng).edges)
