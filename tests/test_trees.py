@@ -16,7 +16,7 @@ from m0nbar.errors import (
     TooLarge,
     UnstableSplit,
 )
-from m0nbar.intersect import compatible
+from m0nbar.intersect import compatible, flag_equivalence
 from m0nbar.oracle import random_stable_tree
 from m0nbar.trees import (
     MarkedSet,
@@ -311,19 +311,7 @@ class TestTables:
         assert t.dims == (0, 0, 1, 1, 0)
         assert t.vertex_leaves == ((1, 4), (), (2, 6, 8), (5, 7), (3, 9))
         assert t._leaf_at == [0, 2, 4, 0, 3, 2, 3, 2, 4]
-        assert (t.codim, t.dim, t.num_vertices, len(t.vertices)) == (4, 2, 5, 5)
-        assert t == nine_point_tree and hash(t) == hash(nine_point_tree)
-        assert repr(t).startswith("<StableTree n=9 codim=4")
-        # reading the tables and comparing trees fills no mask
         assert slot_is_unset(t, "block_masks")
-
-    def test_keeps_no_parent_or_owner_lists(self, nine_point_tree):
-        # the parent and owner lists of the build are not slots of the tree
-        t = tree_from_splits(nine_point_tree.ground, nine_point_tree.edges)
-        for gone in ("_up", "_owner"):
-            assert gone not in StableTree.__slots__
-            with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
-                getattr(t, gone)
 
     def test_no_edge_index_table(self):
         # edges_at reads ends; no per-vertex table of edge indices is kept
@@ -350,6 +338,37 @@ class TestTables:
             for e in edges:
                 assert split_of_edge(t, e) == e
             assert sum(t.dims) == t.dim
+
+
+class TestLazyTables:
+    # block_masks is the one table filled on its first read; the build fills
+    # the others, and no later read or comparison fills or replaces one
+    def test_unread_by_edges_masks_and_comparisons(self, nine_point_tree):
+        ground = MarkedSet.range(9)
+        t = tree_from_splits(ground, nine_point_tree.edges)
+        u = tree_from_splits(ground, nine_point_tree.edges[:2])
+        built = {name: object.__getattribute__(t, name) for name in TABLES}
+        assert (t.codim, t.dim, t.num_vertices, len(t.vertices)) == (4, 2, 5, 5)
+        assert t.edges == nine_point_tree.edges and t.block_masks
+        assert flag_equivalence(t, u) and t == nine_point_tree and t != u
+        assert hash(t) == hash(nine_point_tree) and repr(t).startswith("<StableTree n=9 codim=4")
+        assert all(object.__getattribute__(t, name) is built[name] for name in TABLES)
+        assert not any(slot_is_unset(u, name) for name in TABLES)
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_one_read_fills_every_table(self, name, nine_point_tree):
+        t = tree_from_splits(nine_point_tree.ground, nine_point_tree.edges)
+        # the build filled every table, so a read only returns it
+        built = object.__getattribute__(t, name)
+        assert not any(slot_is_unset(t, other) for other in TABLES)
+        first = getattr(t, name)
+        assert first is built and getattr(t, name) is first
+        assert slot_is_unset(t, "block_masks")
+        # the parent and owner lists of the build are not slots of the tree
+        for gone in ("_up", "_owner"):
+            assert gone not in StableTree.__slots__
+            with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
+                getattr(t, gone)
 
 
 class TestBlockMasks:
