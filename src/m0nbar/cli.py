@@ -288,12 +288,11 @@ def _report(expr: Expression) -> _Report:
     # halves and factors follow tree order, and are empty when w is None
     rows = itertools.zip_longest(
         tree.edges, tree.ends, decorated.edge_weight.values(),
-        () if w is None else w.halves, (f for _, f in result.edge_factors),
+        () if w is None else w.halves, result.edge_factors,
     )
     edges = [_EdgeRow(e, p, c, k, halves, f) for e, (p, c), k, halves, f in rows]
     rows = itertools.zip_longest(
-        tree.vertex_leaves, tree.dims, decorated.vertex_psi,
-        (f for _, f in result.vertex_factors),
+        tree.vertex_leaves, tree.dims, decorated.vertex_psi, result.vertex_factors,
     )
     vertices = list(itertools.starmap(_VertexRow, rows))
     return _Report(product, decorated, result, edges, vertices)

@@ -177,7 +177,7 @@ def meet_divisor(tree: StableTree, divisor: Split) -> MeetResult:
     """
     if tree.ground != divisor.ground:
         raise GroundMismatch("tree and divisor live on different ground sets")
-    if divisor in tree.splits:
+    if divisor in tree.edges:
         return tree
     return _meet(tree.ground, (*tree.edges, divisor))
 
@@ -195,7 +195,7 @@ def meet_all(trees: Sequence[StableTree]) -> MeetResult:
     for t in trees:
         if t.ground != ground:
             raise GroundMismatch("strata live on different ground sets")
-        union |= t.splits
+        union.update(t.edges)
     return _meet(ground, union)
 
 
@@ -204,11 +204,13 @@ def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
 
     By the flag property of the boundary complex this happens exactly when
     every edge of one is compatible with every edge of the other, which is
-    what gets checked; meet_all on the pair agrees, and tests assert it.
+    what gets checked, on the block masks of the two trees' ``edges``: the
+    same predicate ``flag_certify`` runs on enumerated families.  meet_all
+    on the pair agrees, and tests assert it.
     """
     if t1.ground is not t2.ground and t1.ground != t2.ground:
         raise GroundMismatch("strata live on different ground sets")
-    return _blocks_meet(t1.block_masks, t2.block_masks)
+    return _blocks_meet([e.block_mask for e in t1.edges], [e.block_mask for e in t2.edges])
 
 
 def _blocks_meet(masks1: Sequence[int], masks2: Sequence[int]) -> bool:

@@ -34,15 +34,17 @@ EXPANSION_BUDGET = 24
 FLAG_LIMIT = 7
 
 
-def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[dict, int]]:
+def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[list, int]]:
     """All per-edge weight decompositions meeting every vertex dimension.
 
-    Each edge weight k(e) is tried as every ordered pair (a, k(e)-a); a
-    tuple survives when the half-weights plus psi weights at each vertex
-    total exactly the vertex dimension.  Returns (half-weight map,
-    multinomial contribution) pairs.  Uniqueness of balanced weightings
+    Each edge weight k(e) is tried as every ordered pair (a, k(e)-a), the
+    parent's half first; a tuple survives when the half-weights plus psi
+    weights at each vertex total exactly the vertex dimension.  Returns
+    (halves, multinomial contribution) pairs, where ``halves`` lists each
+    edge's (parent half, child half) in ``tree.edges`` order, the table
+    ``BalancedWeighting.halves`` holds.  Uniqueness of balanced weightings
     says the list never has more than one entry, and the tests verify that
-    claim non-greedily.
+    claim without the greedy peel.
     """
     tree = decorated.tree
     if decorated.weight_total != tree.dim:
@@ -55,7 +57,6 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[dict, int]]
         raise BudgetExceeded(
             f"total edge weight {k_total} exceeds the expansion guard {EXPANSION_BUDGET}"
         )
-    edges = tree.edges
     ends = tree.ends
     weights = list(decorated.edge_weight.values())
     psi = [[w for _, w in pairs] for pairs in decorated.vertex_psi]
@@ -69,12 +70,11 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[dict, int]]
             load[c] += k - a
         if load != dims:
             continue
-        halves = {}
+        halves = []
         parts = [[] for _ in dims]
         contribution = 1
-        for e, (p, c), k, a in zip(edges, ends, weights, combo):
-            halves[(p, e)] = a
-            halves[(c, e)] = k - a
+        for (p, c), k, a in zip(ends, weights, combo):
+            halves.append((a, k - a))
             parts[p].append(a)
             parts[c].append(k - a)
             contribution *= multinomial(k, (a, k - a))
@@ -89,7 +89,7 @@ def expansion_eval(decorated: DecoratedTree) -> int:
     return _signed_total(decorated, surviving_decompositions(decorated))
 
 
-def _signed_total(decorated: DecoratedTree, terms: list[tuple[dict, int]]) -> int:
+def _signed_total(decorated: DecoratedTree, terms: list[tuple[list, int]]) -> int:
     # the expansion's own sign, (-1)^(total edge weight), never the evaluator's
     sign = -1 if sum(decorated.edge_weight.values()) % 2 else 1
     return sign * sum(c for _, c in terms)

@@ -230,34 +230,31 @@ class StableTree:
     Internal vertices are numbered deterministically: vertex 0 is the one
     whose side of every split contains the smallest label, and the rest
     follow in depth-first order with children visited by smallest contained
-    label.  Internal edges are identified with their splits; ``edges`` holds
-    them in the canonical order (lexicographic by block), and ``splits`` is
-    the same edges as a set.  ``codim``, ``dim`` (n - 3 - codim) and
-    ``num_vertices`` (codim + 1) are read off ``edges``.
+    label.  Internal edges are identified with their splits, and ``edges``
+    is the split system: each split once, in the canonical order
+    (lexicographic by block).  Equality and the hash read the ground set
+    and ``edges``.  ``codim``, ``dim`` (n - 3 - codim) and ``num_vertices``
+    (codim + 1) are read off ``edges``.
 
-    The incidence is two tables: ``ends`` lists each edge's (parent, child)
-    in ``edges`` order, and privately label i's vertex sits at index i - 1
-    of the leaf table.  ``edges_at`` reads a vertex's edges off ``ends``.
-    Beside them, ``dims`` holds each vertex's dimension (degree - 3) and
-    ``vertex_leaves`` its leaves, both in vertex order, so consumers zip
-    them with ``edges`` and ``vertices`` instead of looking edges up.
-    :func:`tree_from_splits` fills all four when it builds the tree, since
-    every caller that builds one reads them; the ``enumerate`` command and
-    ``flag_certify``, which need only split systems, work on block masks
-    and build no tree.  ``block_masks`` holds each edge's ``block_mask`` in
-    ``edges`` order and is built on its first read.
+    Every other field is a table in ``edges`` order or in vertex order.
+    ``ends`` lists each edge's (parent, child), and privately label i's
+    vertex sits at index i - 1 of the leaf table; ``edges_at`` reads a
+    vertex's edges off ``ends``.  ``dims`` holds each vertex's dimension
+    (degree - 3) and ``vertex_leaves`` its leaves, so consumers zip them
+    with ``edges`` and ``vertices`` instead of looking edges up.
+    :func:`tree_from_splits` fills every field when it builds the tree;
+    none is filled later.  The ``enumerate`` command and ``flag_certify``,
+    which need only split systems, work on block masks and build no tree.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
-    __slots__ = ("ground", "edges", "splits", "ends", "dims", "vertex_leaves", "_leaf_at",
-                 "block_masks")
+    __slots__ = ("ground", "edges", "ends", "dims", "vertex_leaves", "_leaf_at")
 
-    def __init__(self, ground, edges, splits, ends, dims, vertex_leaves, leaf_at):
+    def __init__(self, ground, edges, ends, dims, vertex_leaves, leaf_at):
         self.ground = ground
         self.edges = edges
-        self.splits = splits
         self.ends = ends
         self.dims = dims
         self.vertex_leaves = vertex_leaves
@@ -281,15 +278,6 @@ class StableTree:
         # add up to n + 2 * codim
         return self.ground.n - 3 - len(self.edges)
 
-    def __getattr__(self, name):
-        # called only when the normal lookup fails, as it does for the
-        # block_masks slot until a first read fills it: every later read is
-        # a plain slot load
-        if name == "block_masks":
-            masks = self.block_masks = tuple(s.block_mask for s in self.edges)
-            return masks
-        raise AttributeError(f"'StableTree' object has no attribute '{name}'")
-
     def edges_at(self, v: int) -> tuple[Split, ...]:
         """The edges at vertex v: the one toward vertex 0 first, then the rest in ``edges`` order."""
         ends = self.ends
@@ -308,10 +296,10 @@ class StableTree:
     def __eq__(self, other):
         if not isinstance(other, StableTree):
             return NotImplemented
-        return self.ground == other.ground and self.splits == other.splits
+        return self.ground == other.ground and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.ground, self.splits))
+        return hash((self.ground, self.edges))
 
     def __repr__(self):
         shown = "; ".join(str(s) for s in self.edges)
@@ -348,8 +336,8 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     IncompatibleSplits naming a crossing pair of the given splits when the
     system is not pairwise compatible.
     """
-    splits = frozenset(splits)
-    ordered = ordered_splits(splits)
+    # a repeated split would nest in its own copy, on a vertex of degree 2
+    ordered = ordered_splits(set(splits))
     for s in ordered:
         if s.ground is not ground and s.ground != ground:
             raise GroundMismatch(f"split {s} lives on 1..{s.ground.n}, not 1..{ground.n}")
@@ -406,7 +394,7 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     # distinct splits whose sides both hold >= 2 labels give every vertex
     # degree >= 3, so no input reaches this
     assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
-    return StableTree(ground, ordered, splits, ends, tuple(dims), leaves, leaf_at)
+    return StableTree(ground, ordered, ends, tuple(dims), leaves, leaf_at)
 
 
 def splits_of_links(
@@ -454,7 +442,7 @@ def split_of_edge(tree: StableTree, edge: Split) -> Split:
     incidence structure is right.  A split that is not an edge of the tree
     raises NotInternalEdge.
     """
-    if edge not in tree.splits:
+    if edge not in tree.edges:
         raise NotInternalEdge(f"{edge} is not an internal edge of this tree")
     return splits_of_links(tree.ground, tree.ends, tree._leaf_at)[tree.edges.index(edge)]
 
@@ -463,7 +451,7 @@ def tree_equal(t1: StableTree, t2: StableTree) -> bool:
     """Canonical equality: same ground set and the same split system."""
     if t1.ground != t2.ground:
         raise GroundMismatch("trees live on different ground sets")
-    return t1.splits == t2.splits
+    return t1.edges == t2.edges
 
 
 def enumerate_stable_trees(n: int, codim: int | None = None) -> Iterator[StableTree]:

@@ -11,7 +11,6 @@ coefficient per edge and per vertex.
 from __future__ import annotations
 
 import collections
-import functools
 import heapq
 import math
 from collections.abc import Mapping
@@ -19,27 +18,18 @@ from collections.abc import Mapping
 from .combinat import factorial, multinomial
 from .errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBalanceGiven
 from .intersect import DecoratedTree
-from .trees import Split
 
 
 class BalancedWeighting(collections.namedtuple("BalancedWeighting", "decorated halves parts")):
-    """The unique half-edge weight decomposition.
+    """The unique half-edge weight decomposition, as two tables.
 
     ``halves`` holds each edge's (parent half, child half) in
-    ``tree.edges`` order, and ``parts`` each vertex's incident halves in
-    vertex order.  ``half_weight`` keys the same numbers by (vertex, edge).
+    ``tree.edges`` order, so zipping it with ``tree.ends`` pairs each half
+    with the vertex it sits at.  ``parts`` holds each vertex's incident
+    halves in vertex order, in the order the peel fixed them.
     """
 
-    # no __slots__: half_weight is cached in the instance's __dict__
-
-    @functools.cached_property
-    def half_weight(self) -> dict[tuple[int, Split], int]:
-        tree = self.decorated.tree
-        out = {}
-        for e, (p, c), (hp, hc) in zip(tree.edges, tree.ends, self.halves):
-            out[(p, e)] = hp
-            out[(c, e)] = hc
-        return out
+    __slots__ = ()
 
 
 class EvalResult(collections.namedtuple(
@@ -49,8 +39,10 @@ class EvalResult(collections.namedtuple(
     value == sign * product of all factors when a weighting is present;
     value == 0 otherwise, with ``reason`` telling whether the strata do not
     meet ("empty") or the weights do not balance ("no_balance").
-    ``edge_factors`` holds (Split, factor) pairs and ``vertex_factors``
-    (vertex, factor) pairs; ``weighting`` is a BalancedWeighting or None.
+    ``edge_factors`` holds each edge's binomial in ``tree.edges`` order and
+    ``vertex_factors`` each vertex's multinomial in vertex order; both are
+    empty without a weighting.  ``weighting`` is a BalancedWeighting or
+    None.
     """
 
     __slots__ = ()
@@ -130,8 +122,9 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> BalancedWeig
             heapq.heappush(ready, other)
         last = other
 
-    if residual[last] != 0:
-        return None
+    # the residuals start out summing to the total edge weight, and each
+    # peel takes exactly its edge's weight off that sum, so the last is 0
+    assert residual[last] == 0, "the last vertex of the peel has a residual"
     return BalancedWeighting(decorated, halves, parts)
 
 
@@ -152,18 +145,17 @@ def evaluate(decorated: DecoratedTree) -> EvalResult:
 
     tree = decorated.tree
     edge_factors = tuple([
-        (e, math.comb(k, hp))
-        for e, k, (hp, _) in zip(tree.edges, decorated.edge_weight.values(), weighting.halves)
+        math.comb(k, hp) for k, (hp, _) in zip(decorated.edge_weight.values(), weighting.halves)
     ])
-    vertex_factors = tuple(enumerate([
+    vertex_factors = tuple([
         multinomial(dim, parts + [w for _, w in pairs] if pairs else parts)
         for dim, parts, pairs in zip(tree.dims, weighting.parts, decorated.vertex_psi)
-    ]))
+    ])
 
     value = sign
-    for _, f in edge_factors:
+    for f in edge_factors:
         value *= f
-    for _, f in vertex_factors:
+    for f in vertex_factors:
         value *= f
     return EvalResult(value, sign, edge_factors, vertex_factors, weighting, "ok")
 

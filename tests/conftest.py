@@ -30,3 +30,13 @@ def example_product():
 def psi_example_product():
     """With psi weights 1 at leaf 4 and 2 at leaf 7; evaluates to +3."""
     return fifteen_point_product(psi={4: 1, 7: 2}, exponents=(2, 1, 3, 1, 2))
+
+
+def half_weights(weighting):
+    """Each half-weight keyed by (vertex, edge): the ``halves`` table read through ``ends``."""
+    tree = weighting.decorated.tree
+    out = {}
+    for e, (p, c), (hp, hc) in zip(tree.edges, tree.ends, weighting.halves):
+        out[(p, e)] = hp
+        out[(c, e)] = hc
+    return out

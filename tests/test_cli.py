@@ -439,17 +439,16 @@ def bench_gen():
 
 
 def test_report_at_large_n_builds_no_mask():
-    # the evaluation path reads blocks as labels: a stratum-large tree keeps
-    # its block_masks slot unset and no edge caches a block_mask
+    # the evaluation path reads blocks as labels: no edge of a stratum-large
+    # tree caches a block_mask, and the tree keeps no keyed copy of its edges
     gen = bench_gen()
     tree = gen.bushy_tree(2000, random.Random("ladder:2000"))
     bushy = gen.make_instance("random", tree, "ok", random.Random(1), psi_share=0.3, vary=False)
     report = cli._report(cli.parse(bushy.text, 2000))
     tree = report.decorated.tree
     assert report.result.reason == "ok" and tree.codim > 1000
-    with pytest.raises(AttributeError):
-        object.__getattribute__(tree, "block_masks")
     assert not any("block_mask" in vars(e) for e in tree.edges)
+    assert not hasattr(tree, "splits") and not hasattr(tree, "block_masks")
 
 
 def test_json_output_matches_one_json_dumps():

@@ -192,7 +192,7 @@ class TestMeetDivisor:
     def test_nine_point_insertion(self, nine_point_tree):
         d = make_split(G9, {3, 7, 9})
         result = meet_divisor(nine_point_tree, d)
-        expected = tree_from_splits(G9, (*nine_point_tree.splits, d))
+        expected = tree_from_splits(G9, (*nine_point_tree.edges, d))
         assert tree_equal(result, expected)
 
     def test_existing_edge_returns_same_stratum(self, nine_point_tree):
@@ -240,7 +240,7 @@ class TestMeetDivisor:
                     met = meet_divisor(t, d)
                     assert (met is EMPTY) == (not meets)
                     if meets:
-                        assert met.splits == t.splits | {d}
+                        assert frozenset(met.edges) == frozenset(t.edges) | {d}
         assert min(kinds.values()) > 50
 
 
@@ -252,7 +252,7 @@ class TestMeetAll:
         t1 = tree_from_splits(G6, (make_split(G6, {1, 2}),))
         t2 = tree_from_splits(G6, (make_split(G6, {5, 6}),))
         met = meet_all([t1, t2])
-        assert met.splits == {make_split(G6, {1, 2}), make_split(G6, {5, 6})}
+        assert met.edges == (make_split(G6, {1, 2}), make_split(G6, {5, 6}))
 
     def test_incompatible(self):
         t1 = tree_from_splits(G5, (make_split(G5, {1, 2}),))
@@ -310,8 +310,8 @@ class TestFlagEquivalence:
         # independent witness: an enumerated tree refining both split systems
         trees = list(enumerate_stable_trees(5))
         for t1, t2 in itertools.combinations_with_replacement(trees, 2):
-            union = t1.splits | t2.splits
-            witnessed = any(union <= t.splits for t in trees)
+            union = frozenset(t1.edges) | frozenset(t2.edges)
+            witnessed = any(union <= frozenset(t.edges) for t in trees)
             assert flag_equivalence(t1, t2) == witnessed
 
 
@@ -417,7 +417,7 @@ class TestDecoratedTree:
     def test_foreign_edge_and_negative_weight_raise(self, nine_point_tree):
         tree = nine_point_tree
         foreign = make_split(G9, {2, 3})
-        assert foreign not in tree.splits
+        assert foreign not in tree.edges
         # as many weights as edges, one of them foreign
         swapped = {foreign if i == 2 else e: 1 for i, e in enumerate(tree.edges)}
         for weights in ({foreign: 1}, swapped):
@@ -505,7 +505,7 @@ def reference_strata_decoration(trees):
     meet = meet_all(trees)
     if meet is EMPTY:
         return EMPTY
-    return DecoratedTree(meet, {e: sum(e in t.splits for t in trees) - 1 for e in meet.edges}, {})
+    return DecoratedTree(meet, {e: sum(e in t.edges for t in trees) - 1 for e in meet.edges}, {})
 
 
 def check_against_reference(trees):

@@ -59,7 +59,7 @@ class TestExpansion:
             if weighting is None:
                 assert terms == []
             else:
-                assert terms[0][0] == weighting.half_weight
+                assert terms[0][0] == weighting.halves
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_uniqueness_exhaustive_over_all_weightings(self, n):
@@ -67,10 +67,10 @@ class TestExpansion:
         # leaf psi weights: never more than one surviving decomposition, and
         # the greedy answer is exactly that one
         from m0nbar.intersect import DecoratedTree
-        from m0nbar.trees import enumerate_stable_trees, ordered_splits
+        from m0nbar.trees import enumerate_stable_trees
 
         for tree in enumerate_stable_trees(n):
-            edges = ordered_splits(tree.splits)
+            edges = tree.edges
             leaves = tree.ground.labels
             slots = len(edges) + len(leaves)
             for vec in compositions(tree.dim, slots):
@@ -85,7 +85,7 @@ class TestExpansion:
                 if weighting is None:
                     assert terms == []
                 else:
-                    assert terms[0][0] == weighting.half_weight
+                    assert terms[0][0] == weighting.halves
 
     def test_budget_guard(self):
         g30 = MarkedSet.range(30)
@@ -167,14 +167,15 @@ class TestFlagCertify:
         assert first.pairs_checked == second.pairs_checked == 500
         assert first.ok and second.ok
 
-    @pytest.mark.parametrize("count", [235, 2751])
-    @pytest.mark.parametrize("seed", [0, 42, -5, 2**70])
+    # the stratum counts of n = 4..7 and one count past 2**20
+    @pytest.mark.parametrize("count", [3, 25, 235, 2751, 2**20 + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 42, -5, 2**70, "flag"])
     def test_sampled_pairs_are_the_randrange_pairs(self, count, seed):
         # _sampled_pairs reads CPython's rejection sampler directly; this
         # pins it to randrange on whichever interpreter runs the tests
         rng = random.Random(seed)
-        expected = [(rng.randrange(count), rng.randrange(count)) for _ in range(2000)]
-        assert list(_sampled_pairs(random.Random(seed), count, 2000)) == expected
+        expected = [(rng.randrange(count), rng.randrange(count)) for _ in range(5000)]
+        assert list(_sampled_pairs(random.Random(seed), count, 5000)) == expected
 
     def test_a_predicate_that_always_meets_is_caught(self, monkeypatch):
         monkeypatch.setattr(oracle, "_blocks_meet", lambda masks1, masks2: True)
@@ -182,8 +183,9 @@ class TestFlagCertify:
         def unrealized(strata, pairs):
             # the witness as it was first written: the frozenset union of
             # the two split systems, looked up among the enumerated systems
-            systems = {t.splits for t in strata}
-            return tuple((t1, t2) for t1, t2 in pairs if (t1.splits | t2.splits) not in systems)
+            systems = {frozenset(t.edges) for t in strata}
+            return tuple((t1, t2) for t1, t2 in pairs
+                         if frozenset(t1.edges) | frozenset(t2.edges) not in systems)
 
         strata = [t for t in enumerate_stable_trees(5) if t.codim >= 1]
         report = flag_certify(5)
@@ -207,7 +209,8 @@ class TestFlagCertify:
         # so a seed draws the same pairs of strata as a walk over the trees;
         # masks are compared as sets, since a family need not list them in
         # edges order
-        strata = [sorted(t.block_masks) for t in enumerate_stable_trees(n) if t.codim]
+        strata = [sorted(e.block_mask for e in t.edges)
+                  for t in enumerate_stable_trees(n) if t.codim]
         walked = []
         real = oracle._blocks_meet
 

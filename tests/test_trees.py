@@ -217,8 +217,8 @@ class TestReconstruction:
             "2,3,5,6,7,8,9|1,4", "2,6,8|1,3,4,5,7,9", "3,5,7,9|1,2,4,6,8", "3,9|1,2,4,5,6,7,8",
         ]
         for t in enumerate_stable_trees(6):
-            assert t.edges == ordered_splits(t.splits)
-            assert frozenset(t.edges) == t.splits and len(t.edges) == t.codim
+            assert t.edges == ordered_splits(frozenset(t.edges))
+            assert len(frozenset(t.edges)) == len(t.edges) == t.codim
 
     def test_edges_at_is_the_child_edge_then_the_parent_edges(self):
         for n in range(3, 8):
@@ -236,7 +236,7 @@ class TestReconstruction:
 
     def test_vertex_numbering_is_deterministic(self, nine_point_tree):
         ground = MarkedSet.range(9)
-        again = tree_from_splits(ground, reversed(ordered_splits(nine_point_tree.splits)))
+        again = tree_from_splits(ground, reversed(nine_point_tree.edges))
         for v in nine_point_tree.vertices:
             assert nine_point_tree.leaves_at(v) == again.leaves_at(v)
             assert nine_point_tree.edges_at(v) == again.edges_at(v)
@@ -255,7 +255,7 @@ class TestSplitOfEdge:
     def test_round_trip_on_every_enumerated_edge(self):
         for n in (4, 5, 6, 7):
             for t in enumerate_stable_trees(n):
-                for e in t.splits:
+                for e in t.edges:
                     assert split_of_edge(t, e) == e
                 # the tree's own incidence, read back by one walk over its links
                 links = list(t.ends)
@@ -288,30 +288,21 @@ class TestSplitOfEdge:
                 split_of_edge(t, foreign)
 
 
-def slot_is_unset(tree, name):
-    # the slot itself, read past StableTree.__getattr__, which would fill it
-    try:
-        object.__getattribute__(tree, name)
-    except AttributeError:
-        return True
-    return False
-
-
 TABLES = ("ends", "dims", "vertex_leaves", "_leaf_at")
 
 
 class TestTables:
     def test_filled_by_the_build(self, nine_point_tree):
-        # tree_from_splits returns every table filled; only block_masks waits
-        # for its first read
+        # tree_from_splits returns every field filled, and the tables are
+        # every field besides the ground set and the edges
         t = tree_from_splits(nine_point_tree.ground, reversed(nine_point_tree.edges))
-        assert not any(slot_is_unset(t, name) for name in TABLES)
+        assert StableTree.__slots__ == ("ground", "edges", *TABLES)
+        assert all(hasattr(t, name) for name in StableTree.__slots__)
         # the block {2,3,5,6,7,8,9} holds {2,6,8} and {3,5,7,9}, which holds {3,9}
         assert t.ends == ((0, 1), (1, 2), (1, 3), (3, 4))
         assert t.dims == (0, 0, 1, 1, 0)
         assert t.vertex_leaves == ((1, 4), (), (2, 6, 8), (5, 7), (3, 9))
         assert t._leaf_at == [0, 2, 4, 0, 3, 2, 3, 2, 4]
-        assert slot_is_unset(t, "block_masks")
 
     def test_no_edge_index_table(self):
         # edges_at reads ends; no per-vertex table of edge indices is kept
@@ -341,29 +332,29 @@ class TestTables:
 
 
 class TestLazyTables:
-    # block_masks is the one table filled on its first read; the build fills
-    # the others, and no later read or comparison fills or replaces one
+    # no field is filled lazily: the build fills every one, and no later
+    # read, mask test or comparison fills or replaces one
     def test_unread_by_edges_masks_and_comparisons(self, nine_point_tree):
         ground = MarkedSet.range(9)
         t = tree_from_splits(ground, nine_point_tree.edges)
         u = tree_from_splits(ground, nine_point_tree.edges[:2])
-        built = {name: object.__getattribute__(t, name) for name in TABLES}
+        built = {name: getattr(t, name) for name in StableTree.__slots__}
         assert (t.codim, t.dim, t.num_vertices, len(t.vertices)) == (4, 2, 5, 5)
-        assert t.edges == nine_point_tree.edges and t.block_masks
+        assert t.edges == nine_point_tree.edges
         assert flag_equivalence(t, u) and t == nine_point_tree and t != u
         assert hash(t) == hash(nine_point_tree) and repr(t).startswith("<StableTree n=9 codim=4")
-        assert all(object.__getattribute__(t, name) is built[name] for name in TABLES)
-        assert not any(slot_is_unset(u, name) for name in TABLES)
+        assert all(getattr(t, name) is built[name] for name in StableTree.__slots__)
+        assert all(hasattr(u, name) for name in TABLES)
+        assert "__getattr__" not in vars(StableTree)
 
     @pytest.mark.parametrize("name", TABLES)
     def test_one_read_fills_every_table(self, name, nine_point_tree):
         t = tree_from_splits(nine_point_tree.ground, nine_point_tree.edges)
         # the build filled every table, so a read only returns it
-        built = object.__getattribute__(t, name)
-        assert not any(slot_is_unset(t, other) for other in TABLES)
+        assert all(hasattr(t, other) for other in TABLES)
         first = getattr(t, name)
-        assert first is built and getattr(t, name) is first
-        assert slot_is_unset(t, "block_masks")
+        assert getattr(t, name) is first
+        assert not hasattr(t, "block_masks") and not hasattr(t, "splits")
         # the parent and owner lists of the build are not slots of the tree
         for gone in ("_up", "_owner"):
             assert gone not in StableTree.__slots__
@@ -372,25 +363,30 @@ class TestLazyTables:
 
 
 class TestBlockMasks:
+    # each edge's mask lives on its Split; the tree keeps no table of them
     def test_edge_masks_of_every_enumerated_tree(self):
         for n in range(3, 8):
             for t in enumerate_stable_trees(n):
-                assert t.block_masks == tuple(s.block_mask for s in t.edges)
+                assert [s.block_mask for s in t.edges] == [t.ground.mask_of(s.block)
+                                                           for s in t.edges]
 
     def test_edge_masks_of_random_trees(self):
         rng = random.Random(14)
         for n in range(4, 41):
             for _ in range(3):
                 t = random_stable_tree(n, rng)
-                assert t.block_masks == tuple(s.block_mask for s in t.edges)
+                assert [s.block_mask for s in t.edges] == [t.ground.mask_of(s.block)
+                                                           for s in t.edges]
 
     def test_built_on_first_read_only(self):
+        # a split made from labels computes its mask on its first read
         ground = MarkedSet.range(9)
         t = tree_from_splits(ground, [make_split(ground, {2, 3}), make_split(ground, {4, 5, 6})])
-        assert slot_is_unset(t, "block_masks")
-        masks = t.block_masks
-        assert masks == (0b110, 0b111000)
-        assert not slot_is_unset(t, "block_masks") and t.block_masks is masks
+        assert not any("block_mask" in vars(s) for s in t.edges)
+        masks = [s.block_mask for s in t.edges]
+        assert masks == [0b110, 0b111000]
+        assert all(vars(s)["block_mask"] is m for s, m in zip(t.edges, masks))
+        assert not hasattr(t, "block_masks")
         with pytest.raises(AttributeError, match="no attribute 'block_mask'"):
             t.block_mask
 
@@ -419,7 +415,7 @@ class TestEnumeration:
     def test_four_points_codim_one(self):
         trees = list(enumerate_stable_trees(4, 1))
         assert len(trees) == 3
-        found = {next(iter(t.splits)) for t in trees}
+        found = {t.edges[0] for t in trees}
         assert found == {make_split(G4, s) for s in ({1, 2}, {1, 3}, {1, 4})}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -436,7 +432,7 @@ class TestEnumeration:
 
     def test_each_tree_appears_once(self):
         for n in (4, 5, 6):
-            systems = [t.splits for t in enumerate_stable_trees(n)]
+            systems = [t.edges for t in enumerate_stable_trees(n)]
             assert len(systems) == len(set(systems))
 
     def test_dimension_identity(self):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import half_weights
 from m0nbar.errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBalanceGiven
 from m0nbar.intersect import BoundaryProduct, DecoratedTree, product_to_decorated
 from m0nbar.oracle import expansion_eval, random_decorated_tree, surviving_decompositions
@@ -32,7 +33,7 @@ class TestBalance:
     def test_fifteen_point_half_weights(self, example_product):
         decorated = product_to_decorated(example_product)
         tree = decorated.tree
-        weighting = balance(decorated)
+        halves = half_weights(balance(decorated))
         g15 = example_product.ground
         # identify vertices by an attached leaf
         u, w, v = tree.leaf_vertex(1), tree.leaf_vertex(6), tree.leaf_vertex(3)
@@ -42,33 +43,33 @@ class TestBalance:
         e_wx = make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8})
         e_xy = make_split(g15, {11, 12})
         e_xz = make_split(g15, {13, 14, 15})
-        assert (weighting.half_weight[(u, e_uw)], weighting.half_weight[(w, e_uw)]) == (0, 1)
-        assert (weighting.half_weight[(w, e_wv)], weighting.half_weight[(v, e_wv)]) == (1, 1)
-        assert (weighting.half_weight[(x, e_wx)], weighting.half_weight[(w, e_wx)]) == (2, 1)
-        assert (weighting.half_weight[(x, e_xy)], weighting.half_weight[(y, e_xy)]) == (0, 0)
-        assert (weighting.half_weight[(x, e_xz)], weighting.half_weight[(z, e_xz)]) == (0, 1)
+        assert (halves[(u, e_uw)], halves[(w, e_uw)]) == (0, 1)
+        assert (halves[(w, e_wv)], halves[(v, e_wv)]) == (1, 1)
+        assert (halves[(x, e_wx)], halves[(w, e_wx)]) == (2, 1)
+        assert (halves[(x, e_xy)], halves[(y, e_xy)]) == (0, 0)
+        assert (halves[(x, e_xz)], halves[(z, e_xz)]) == (0, 1)
 
     def test_psi_fixture_half_weights(self, psi_example_product):
         decorated = product_to_decorated(psi_example_product)
         tree = decorated.tree
-        weighting = balance(decorated)
+        halves = half_weights(balance(decorated))
         g15 = psi_example_product.ground
         u, w, v = tree.leaf_vertex(1), tree.leaf_vertex(6), tree.leaf_vertex(3)
         x, z = tree.leaf_vertex(9), tree.leaf_vertex(13)
-        assert weighting.half_weight[(w, make_split(g15, {1, 2}))] == 1
-        assert weighting.half_weight[(u, make_split(g15, {1, 2}))] == 0
-        assert weighting.half_weight[(w, make_split(g15, {3, 4, 5}))] == 0
-        assert weighting.half_weight[(v, make_split(g15, {3, 4, 5}))] == 0
-        assert weighting.half_weight[(x, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8}))] == 2
-        assert weighting.half_weight[(w, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8}))] == 0
-        assert weighting.half_weight[(x, make_split(g15, {13, 14, 15}))] == 0
-        assert weighting.half_weight[(z, make_split(g15, {13, 14, 15}))] == 1
+        assert halves[(w, make_split(g15, {1, 2}))] == 1
+        assert halves[(u, make_split(g15, {1, 2}))] == 0
+        assert halves[(w, make_split(g15, {3, 4, 5}))] == 0
+        assert halves[(v, make_split(g15, {3, 4, 5}))] == 0
+        assert halves[(x, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8}))] == 2
+        assert halves[(w, make_split(g15, {1, 2, 3, 4, 5, 6, 7, 8}))] == 0
+        assert halves[(x, make_split(g15, {13, 14, 15}))] == 0
+        assert halves[(z, make_split(g15, {13, 14, 15}))] == 1
 
     def test_single_vertex_tree_has_empty_weighting(self):
         decorated = product_to_decorated(BoundaryProduct(G6, {}, {1: 1, 2: 1, 3: 1}))
         weighting = balance(decorated)
         assert weighting is not None
-        assert weighting.half_weight == {}
+        assert weighting.halves == [] and weighting.parts == [[]]
 
     def test_caterpillar_has_no_balance(self):
         assert balance(decorated_caterpillar()) is None
@@ -91,7 +92,7 @@ class TestBalance:
             assert len(survivors) <= 1
             weighting = balance(decorated)
             if survivors:
-                assert weighting.half_weight == survivors[0][0]
+                assert weighting.halves == survivors[0][0]
             else:
                 assert weighting is None
 
@@ -103,12 +104,29 @@ class TestBalance:
             if weighting is None:
                 continue
             tree = decorated.tree
-            for e, (p, c), halves in zip(tree.edges, tree.ends, weighting.halves):
-                assert halves == (weighting.half_weight[(p, e)], weighting.half_weight[(c, e)])
+            for e, halves in zip(tree.edges, weighting.halves):
                 assert sum(halves) == decorated.edge_weight[e]
+            # each vertex's parts are the halves at its ends, read by edges_at
+            halves = half_weights(weighting)
+            assert len(halves) == 2 * tree.codim
             for v in tree.vertices:
-                at_v = sorted(weighting.half_weight[(v, e)] for e in tree.edges_at(v))
+                at_v = sorted(halves[(v, e)] for e in tree.edges_at(v))
                 assert sorted(weighting.parts[v]) == at_v
+
+    def test_a_failed_peel_ends_on_a_negative_half(self):
+        # explain's "a half-weight went negative" line: a None with peels in
+        # its trace stops at the first peel with a negative half
+        rng = random.Random(31)
+        traced = 0
+        for _ in range(2000):
+            decorated = random_decorated_tree(rng.randint(4, 20), rng)
+            trace: list = []
+            if balance(decorated, trace) is None and trace:
+                traced += 1
+                *done, (_, _, near, far) = trace
+                assert near < 0 or far < 0
+                assert all(a >= 0 and b >= 0 for _, _, a, b in done)
+        assert traced > 100
 
     def test_peels_are_pinned(self):
         # the peel order, each peel's halves and the value, over 500 draws
@@ -119,7 +137,7 @@ class TestBalance:
             trace: list = []
             weighting = balance(decorated, trace)
             halves = None if weighting is None else sorted(
-                (v, e.block, h) for (v, e), h in weighting.half_weight.items()
+                (v, e.block, h) for (v, e), h in half_weights(weighting).items()
             )
             digest.update(repr((
                 [(v, str(e), near, far) for v, e, near, far in trace],
@@ -135,9 +153,9 @@ class TestEvaluate:
         result = evaluate(decorated)
         assert result.value == -36
         assert result.sign == -1
-        nontrivial = sorted(f for _, f in result.edge_factors if f != 1)
+        nontrivial = sorted(f for f in result.edge_factors if f != 1)
         assert nontrivial == [2, 3]
-        vertex_nontrivial = [f for _, f in result.vertex_factors if f != 1]
+        vertex_nontrivial = [f for f in result.vertex_factors if f != 1]
         assert vertex_nontrivial == [6]
 
     def test_psi_fixture_value(self, psi_example_product):
