@@ -1,7 +1,8 @@
 """Exact integer combinatorics: factorials and multinomial coefficients.
 
 Everything runs on Python's arbitrary-precision integers; no value is ever
-rounded or truncated.
+rounded or truncated.  ``factorial`` is ``math.factorial``, re-exported: it
+raises ValueError on a negative argument itself.
 """
 
 import math
@@ -9,12 +10,7 @@ from collections.abc import Iterable
 
 from .errors import PartsMismatch
 
-
-def factorial(m: int) -> int:
-    """Return m! exactly."""
-    if m < 0:
-        raise ValueError(f"factorial of negative number {m}")
-    return math.factorial(m)
+factorial = math.factorial
 
 
 def multinomial(top: int, parts: Iterable[int]) -> int:

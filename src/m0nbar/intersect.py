@@ -58,22 +58,17 @@ EMPTY = _EmptyIntersection()
 MeetResult = StableTree | _EmptyIntersection
 
 
-def _masks_compatible(a: int, b: int) -> bool:
-    # Canonical blocks avoid the smallest label, so two splits coexist in a
-    # tree iff their blocks are nested or disjoint.
-    return a & b in (0, a, b)
-
-
 def compatible(s1: Split, s2: Split) -> bool:
     """True iff the two divisors meet.
 
     Holds exactly when a block of one contains, or is contained in, a block
     of the other; equivalently, when some pair of opposite sides is
-    disjoint.
+    disjoint.  Canonical blocks avoid the smallest label, so this is the
+    nested-or-disjoint test ``_blocks_meet`` makes on the two block masks.
     """
     if s1.ground != s2.ground:
         raise GroundMismatch("splits live on different ground sets")
-    return _masks_compatible(s1.block_mask, s2.block_mask)
+    return _blocks_meet((s1.block_mask,), (s2.block_mask,))
 
 
 class Coloring(collections.namedtuple("Coloring", "tree edge_colors leaf_colors split_vertex")):
@@ -98,7 +93,9 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     is blue when it belongs to the block.  The split vertex is the child
     end of the smallest edge whose block contains the divisor's block, or
     vertex 0 when no edge's block does: the vertex just below the first red
-    edge on the walk from a blue leaf toward vertex 0.
+    edge on the walk from a blue leaf toward vertex 0.  Each edge is sorted
+    once, by the meet of its block with the divisor's: it contains the
+    divisor's block, lies inside it, crosses it or is disjoint from it.
 
     Raises EdgeConditionFails naming a witness edge when the divisor is
     incompatible with the tree.
@@ -110,17 +107,19 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     vertex = 0
     for e, (_, child) in zip(tree.edges, tree.ends):
         b = e.block_mask
-        if not _masks_compatible(b, x):
-            raise EdgeConditionFails(e)
-        if b & x == x:
+        c = b & x
+        if c == x:
+            # the edge's block contains the divisor's
             edge_colors[e] = RED
             # the blocks containing x form a chain, numbered depth-first
             # from vertex 0, so the smallest has the largest child end
             vertex = max(vertex, child)
-        elif b & ~x == 0:
-            edge_colors[e] = BLUE
+        elif c == b:
+            edge_colors[e] = BLUE  # inside the divisor's block
+        elif c:
+            raise EdgeConditionFails(e)  # the blocks cross
         else:
-            edge_colors[e] = RED
+            edge_colors[e] = RED  # disjoint from it
     leaf_colors = dict.fromkeys(tree.ground.labels, RED)
     leaf_colors.update(dict.fromkeys(divisor.block, BLUE))
     return Coloring(tree, edge_colors, leaf_colors, vertex)
@@ -139,7 +138,7 @@ def apply_coloring(coloring: Coloring) -> StableTree:
     tree = coloring.tree
     v = coloring.split_vertex
     colors = [coloring.edge_colors[e] for e in tree.edges_at(v)]
-    colors += [coloring.leaf_colors[lab] for lab in tree.leaves_at(v)]
+    colors += [coloring.leaf_colors[lab] for lab in tree.vertex_leaves[v]]
     blues = colors.count(BLUE)
     reds = len(colors) - blues
     if blues == 1 or reds == 1:
@@ -155,7 +154,7 @@ def apply_coloring(coloring: Coloring) -> StableTree:
         links.append((p, c))
     links.append((v, fresh))
     leaf_node = tree._leaf_at.copy()
-    for lab in tree.leaves_at(v):
+    for lab in tree.vertex_leaves[v]:
         if coloring.leaf_colors[lab] == RED:
             leaf_node[lab - 1] = fresh
     return tree_from_splits(tree.ground, splits_of_links(tree.ground, links, leaf_node))
@@ -208,7 +207,7 @@ def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
     same predicate ``flag_certify`` runs on enumerated families.  meet_all
     on the pair agrees, and tests assert it.
     """
-    if t1.ground is not t2.ground and t1.ground != t2.ground:
+    if t1.ground != t2.ground:
         raise GroundMismatch("strata live on different ground sets")
     return _blocks_meet([e.block_mask for e in t1.edges], [e.block_mask for e in t2.edges])
 
@@ -216,8 +215,9 @@ def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
 def _blocks_meet(masks1: Sequence[int], masks2: Sequence[int]) -> bool:
     # flag_equivalence on two split systems of one ground set, given as
     # block masks in any order; flag_certify calls it on enumerated
-    # families.  The test of _masks_compatible, inlined with no tuple built
-    # per test: this runs once per pair a flag certification draws
+    # families, and compatible on one mask each.  Canonical blocks avoid
+    # the smallest label, so two splits coexist in a tree iff their blocks
+    # are nested or disjoint.
     for a in masks1:
         for b in masks2:
             c = a & b

@@ -276,13 +276,13 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
     return tree_from_splits(ground, splits_of_links(ground, links, leaf_node))
 
 
-def random_decorated_tree(
-    n: int, rng: random.Random, allow_psi: bool = True
-) -> DecoratedTree:
+def random_decorated_tree(n: int, rng: random.Random) -> DecoratedTree:
     """Random decorated tree satisfying the dimension-balance identity.
 
-    The stratum dimension is split between edge weights and (optionally)
-    psi weights on arbitrary leaves, one unit at a time.
+    The stratum dimension is split between edge weights and psi weights on
+    arbitrary leaves, one unit at a time.  A tree with no edges puts it all
+    on psi weights; otherwise at least half the draws put all of it on
+    edges, so a caller that wants pure divisor products skips the others.
     """
     tree = random_stable_tree(n, rng)
     budget = tree.dim
@@ -290,7 +290,7 @@ def random_decorated_tree(
     psi_budget = 0
     if not edges:
         psi_budget = budget
-    elif allow_psi and rng.random() < 0.5:
+    elif rng.random() < 0.5:
         psi_budget = rng.randint(0, budget)
     weights = {e: 0 for e in edges}
     for _ in range(budget - psi_budget):

@@ -92,13 +92,14 @@ class MarkedSet:
         return list(range(self.n + 1))
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def range(cls, n: int) -> "MarkedSet":
         """The ground set {1, ..., n}, one shared instance per n.
 
         Sharing it makes every ground-set comparison between the splits of
         one computation an identity test.
         """
-        return _standard_ground(cls, n)
+        return cls(range(1, n + 1))
 
     def mask_of(self, labels: Iterable[int]) -> int:
         """Bitmask of a label subset; labels outside 1..n raise LabelOutOfRange."""
@@ -114,11 +115,6 @@ class MarkedSet:
     def labels_of(self, mask: int) -> tuple[int, ...]:
         # bin() lists the bits high to low; reversed, digit i selects label i + 1
         return tuple(itertools.compress(self.labels, bin(mask)[:1:-1].encode().translate(_BITS)))
-
-
-@functools.lru_cache(maxsize=16)
-def _standard_ground(cls: type[MarkedSet], n: int) -> MarkedSet:
-    return cls(range(1, n + 1))
 
 
 class Split:
@@ -283,9 +279,6 @@ class StableTree:
         ends = self.ends
         return (*(e for e, (_, child) in zip(self.edges, ends) if child == v),
                 *(e for e, (parent, _) in zip(self.edges, ends) if parent == v))
-
-    def leaves_at(self, v: int) -> tuple[int, ...]:
-        return self.vertex_leaves[v]
 
     def leaf_vertex(self, label: int) -> int:
         """The internal vertex a leaf is attached to."""

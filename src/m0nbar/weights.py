@@ -20,13 +20,12 @@ from .errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBala
 from .intersect import DecoratedTree
 
 
-class BalancedWeighting(collections.namedtuple("BalancedWeighting", "decorated halves parts")):
-    """The unique half-edge weight decomposition, as two tables.
+class BalancedWeighting(collections.namedtuple("BalancedWeighting", "decorated halves")):
+    """The unique half-edge weight decomposition of a decorated tree.
 
     ``halves`` holds each edge's (parent half, child half) in
     ``tree.edges`` order, so zipping it with ``tree.ends`` pairs each half
-    with the vertex it sits at.  ``parts`` holds each vertex's incident
-    halves in vertex order, in the order the peel fixed them.
+    with the vertex it sits at.
     """
 
     __slots__ = ()
@@ -95,7 +94,6 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> BalancedWeig
     # with exactly one unresolved edge; a tree on V vertices takes V - 1 peels
     ready = [v for v in range(size) if count[v] == 1]
     halves: list = [None] * len(ends)
-    parts: list[list[int]] = [[] for _ in range(size)]
     last = 0
     for _ in range(size - 1):
         v = heapq.heappop(ready)
@@ -113,8 +111,6 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> BalancedWeig
         else:
             other = p
             halves[i] = (far, near)
-        parts[v].append(near)
-        parts[other].append(far)
         residual[other] -= far
         count[other] -= 1
         xor[other] ^= i
@@ -125,7 +121,7 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> BalancedWeig
     # the residuals start out summing to the total edge weight, and each
     # peel takes exactly its edge's weight off that sum, so the last is 0
     assert residual[last] == 0, "the last vertex of the peel has a residual"
-    return BalancedWeighting(decorated, halves, parts)
+    return BalancedWeighting(decorated, halves)
 
 
 def evaluate(decorated: DecoratedTree) -> EvalResult:
@@ -134,8 +130,8 @@ def evaluate(decorated: DecoratedTree) -> EvalResult:
     Zero (reason "no_balance") when no balanced weighting exists.
     Otherwise the sign is (-1) to the sum of edge weights, each edge
     contributes the binomial of its weight into the two halves, and each
-    vertex contributes the multinomial of its dimension into the incident
-    half-weights and psi weights.
+    vertex contributes the multinomial of its dimension into its psi
+    weights and the halves at it, which ``tree.ends`` places.
     """
     weighting = balance(decorated)
     edge_sum = sum(decorated.edge_weight.values())
@@ -147,10 +143,11 @@ def evaluate(decorated: DecoratedTree) -> EvalResult:
     edge_factors = tuple([
         math.comb(k, hp) for k, (hp, _) in zip(decorated.edge_weight.values(), weighting.halves)
     ])
-    vertex_factors = tuple([
-        multinomial(dim, parts + [w for _, w in pairs] if pairs else parts)
-        for dim, parts, pairs in zip(tree.dims, weighting.parts, decorated.vertex_psi)
-    ])
+    parts = [[w for _, w in pairs] if pairs else [] for pairs in decorated.vertex_psi]
+    for (p, c), (hp, hc) in zip(tree.ends, weighting.halves):
+        parts[p].append(hp)
+        parts[c].append(hc)
+    vertex_factors = tuple(map(multinomial, tree.dims, parts))
 
     value = sign
     for f in edge_factors:

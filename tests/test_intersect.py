@@ -227,7 +227,7 @@ class TestMeetDivisor:
                 # edge; a random side almost always does at these sizes
                 v = rng.randrange(t.num_vertices)
                 branches = [beyond(t, v, e) for e in t.edges_at(v)]
-                branches += [(lab,) for lab in t.leaves_at(v)]
+                branches += [(lab,) for lab in t.vertex_leaves[v]]
                 picked = rng.sample(branches, rng.randint(1, len(branches) - 2))
                 sides = [[lab for b in picked for lab in b]]
                 sides += [rng.sample(ground.labels, rng.randint(2, n - 2)) for _ in range(3)]
@@ -532,7 +532,7 @@ class TestTables:
     def test_dims_are_degrees_less_three(self):
         for decorated in table_inputs():
             tree = decorated.tree
-            dims = [len(tree.edges_at(v)) + len(tree.leaves_at(v)) - 3 for v in tree.vertices]
+            dims = [len(tree.edges_at(v)) + len(tree.vertex_leaves[v]) - 3 for v in tree.vertices]
             assert list(tree.dims) == dims
             assert tree.dim == sum(dims)
 
@@ -543,11 +543,14 @@ class TestTables:
             for e, (p, c) in zip(tree.edges, tree.ends):
                 # the child lists the edge toward vertex 0 first
                 assert e in tree.edges_at(p) and tree.edges_at(c)[0] == e and c != 0
-            assert list(tree.vertex_leaves) == [tree.leaves_at(v) for v in tree.vertices]
+            # each label sits in the leaves of the vertex leaf_vertex names
+            assert len(tree.vertex_leaves) == tree.num_vertices
+            holder = {lab: v for v in tree.vertices for lab in tree.vertex_leaves[v]}
+            assert holder == {lab: tree.leaf_vertex(lab) for lab in tree.ground.labels}
 
     def test_psi_pairs_are_the_leaf_scan(self):
         for decorated in table_inputs():
             tree, psi = decorated.tree, decorated.psi_weight
             for v in tree.vertices:
-                scan = tuple((lab, psi[lab]) for lab in tree.leaves_at(v) if lab in psi)
+                scan = tuple((lab, psi[lab]) for lab in tree.vertex_leaves[v] if lab in psi)
                 assert decorated.vertex_psi[v] == scan

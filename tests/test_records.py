@@ -164,14 +164,14 @@ class TestBalancedWeighting:
         weighting = five_point_result().weighting
         assert repr(weighting) == (
             f"BalancedWeighting(decorated=DecoratedTree(tree={TREE_REPR}, "
-            f"edge_weight={{{S345_REPR}: 1}}, psi_weight={{}}), halves=[(0, 1)], parts=[[0], [1]])"
+            f"edge_weight={{{S345_REPR}: 1}}, psi_weight={{}}), halves=[(0, 1)])"
         )
 
     def test_constructor_forms_and_equality(self):
         weighting = five_point_result().weighting
         decorated = weighting.decorated
-        same = BalancedWeighting(decorated=decorated, halves=[(0, 1)], parts=[[0], [1]])
-        assert_equality(weighting, same, BalancedWeighting(decorated, [(1, 0)], [[1], [0]]))
+        same = BalancedWeighting(decorated=decorated, halves=[(0, 1)])
+        assert_equality(weighting, same, BalancedWeighting(decorated, [(1, 0)]))
         assert_hashable(weighting, False)
 
     def test_half_weight_is_cached(self):

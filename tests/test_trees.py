@@ -140,7 +140,7 @@ class TestReconstruction:
         assert t.codim == 4
         assert t.dim == 2
         assert sorted(t.dims[v] + 3 for v in t.vertices) == [3, 3, 3, 4, 4]
-        assert t.leaves_at(0) == (1, 4)
+        assert t.vertex_leaves[0] == (1, 4)
 
     def test_leaf_vertex_covers_exactly_the_labels(self, nine_point_tree):
         t = nine_point_tree
@@ -229,7 +229,7 @@ class TestReconstruction:
                     up = [e for e, (_, c) in zip(t.edges, t.ends) if c == v]
                     down = [e for e, (p, _) in zip(t.edges, t.ends) if p == v]
                     assert list(at) == up + down and len(up) == (v != 0)
-                    assert t.dims[v] == len(at) + len(t.leaves_at(v)) - 3
+                    assert t.dims[v] == len(at) + len(t.vertex_leaves[v]) - 3
                     seen.update(at)
                 # every edge meets exactly its two ends
                 assert all(seen[e] == 2 for e in t.edges) and len(seen) == t.codim
@@ -238,7 +238,7 @@ class TestReconstruction:
         ground = MarkedSet.range(9)
         again = tree_from_splits(ground, reversed(nine_point_tree.edges))
         for v in nine_point_tree.vertices:
-            assert nine_point_tree.leaves_at(v) == again.leaves_at(v)
+            assert nine_point_tree.vertex_leaves[v] == again.vertex_leaves[v]
             assert nine_point_tree.edges_at(v) == again.edges_at(v)
 
 

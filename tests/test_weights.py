@@ -69,7 +69,9 @@ class TestBalance:
         decorated = product_to_decorated(BoundaryProduct(G6, {}, {1: 1, 2: 1, 3: 1}))
         weighting = balance(decorated)
         assert weighting is not None
-        assert weighting.halves == [] and weighting.parts == [[]]
+        assert weighting.halves == [] and half_weights(weighting) == {}
+        # the one vertex's multinomial reads its psi weights alone
+        assert evaluate(decorated).vertex_factors == (6,)
 
     def test_caterpillar_has_no_balance(self):
         assert balance(decorated_caterpillar()) is None
@@ -106,12 +108,14 @@ class TestBalance:
             tree = decorated.tree
             for e, halves in zip(tree.edges, weighting.halves):
                 assert sum(halves) == decorated.edge_weight[e]
-            # each vertex's parts are the halves at its ends, read by edges_at
+            # the halves at each vertex, read by edges_at, and its psi
+            # weights fill its dimension
             halves = half_weights(weighting)
             assert len(halves) == 2 * tree.codim
             for v in tree.vertices:
-                at_v = sorted(halves[(v, e)] for e in tree.edges_at(v))
-                assert sorted(weighting.parts[v]) == at_v
+                at_v = sum(halves[(v, e)] for e in tree.edges_at(v))
+                psi_v = sum(decorated.psi_weight.get(lab, 0) for lab in tree.vertex_leaves[v])
+                assert at_v + psi_v == tree.dims[v]
 
     def test_a_failed_peel_ends_on_a_negative_half(self):
         # explain's "a half-weight went negative" line: a None with peels in
@@ -214,7 +218,7 @@ class TestEvaluate:
         rng = random.Random(3)
         checked = 0
         while checked < 200:
-            decorated = random_decorated_tree(rng.randint(4, 9), rng, allow_psi=False)
+            decorated = random_decorated_tree(rng.randint(4, 9), rng)
             if decorated.psi_weight:
                 continue  # codim-0 trees have nowhere but psi to carry weight
             checked += 1
