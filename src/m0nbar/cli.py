@@ -310,8 +310,7 @@ def _verdict(report: _Report) -> list[str]:
 def _text_output(report: _Report) -> str:
     lines = [f"n = {report.product.ground.n}"]
     if report.decorated is not None:
-        dim = sum(row.dim for row in report.vertices)
-        lines.append(f"stratum: codim {len(report.edges)}, dim {dim}")
+        lines.append(f"stratum: codim {len(report.edges)}, dim {report.decorated.tree.dim}")
         for v, row in enumerate(report.vertices):
             lines.append(f"  v{v}: leaves {','.join(map(str, row.leaves)) or '-'}  dim {row.dim}")
         for row in report.edges:
@@ -393,9 +392,12 @@ def _read_expression(args) -> Expression:
     return parse(text, args.n)
 
 
+# eval's --format choices, in --help's order
+_RENDERERS = {"text": _text_output, "json": _json_output, "dot": _dot_output}
+
+
 def _cmd_eval(args) -> int:
-    renderer = {"text": _text_output, "json": _json_output, "dot": _dot_output}[args.format]
-    sys.stdout.write(renderer(_report(_read_expression(args))))
+    sys.stdout.write(_RENDERERS[args.format](_report(_read_expression(args))))
     return 0
 
 
@@ -571,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a dimension-zero product")
     p.add_argument("--n", type=_marked_count, required=True, help="number of marked points")
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    p.add_argument("--format", choices=list(_RENDERERS), default="text")
     p.add_argument("expr", nargs="?", default=None, help="expression; stdin when omitted")
     p.set_defaults(func=_cmd_eval)
 

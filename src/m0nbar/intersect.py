@@ -37,14 +37,11 @@ RED = "red"
 
 
 class _EmptyIntersection:
-    """Singleton marking an intersection that is empty as a variety."""
+    """The type of EMPTY, which marks an intersection empty as a variety."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):
+        # copy, deepcopy and pickle hand back the module's EMPTY itself
+        return "EMPTY"
 
     def __repr__(self):
         return "Empty"
@@ -190,12 +187,11 @@ def meet_all(trees: Sequence[StableTree]) -> MeetResult:
     if not trees:
         raise ValueError("meet_all needs at least one stratum")
     ground = trees[0].ground
-    union: set[Split] = set()
     for t in trees:
         if t.ground != ground:
             raise GroundMismatch("strata live on different ground sets")
-        union.update(t.edges)
-    return _meet(ground, union)
+    # tree_from_splits drops the repeated edges
+    return _meet(ground, [e for t in trees for e in t.edges])
 
 
 def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
@@ -338,7 +334,7 @@ def product_to_decorated(product: BoundaryProduct) -> DecorationResult:
     if tree is EMPTY:
         return EMPTY
     weights = {e: k - 1 for e, k in product.divisor_powers.items()}
-    return DecoratedTree(tree, weights, dict(product.psi_powers))
+    return DecoratedTree(tree, weights, product.psi_powers)
 
 
 def strata_product_to_decorated(trees: Sequence[StableTree]) -> DecorationResult:

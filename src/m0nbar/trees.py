@@ -345,14 +345,13 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
         j = owner[labels[0]]
         owners = operator.itemgetter(*labels)(owner)  # every block has >= 2 labels
         if owners.count(j) != len(owners):
-            # if `other` is j's ancestor (or the root), a label lies outside
-            # j and j crosses the block; otherwise `other` misses the first
-            # label, is no smaller than the block, and crosses it
+            # `other` holds the first label exactly when it is j's ancestor
+            # (or the root): then j misses a label of the block and crosses
+            # it; otherwise `other` misses the first label, is no smaller
+            # than the block, and crosses it
             other = next(o for o in owners if o != j)
-            a = j
-            while a != other and a != k:
-                a = up[a]
-            raise IncompatibleSplits(ordered[j if a == other else other], ordered[i])
+            crossing = j if other == k or labels[0] in blocks[other] else other
+            raise IncompatibleSplits(ordered[crossing], ordered[i])
         up[i] = j
         for lab in labels:
             owner[lab] = i

@@ -1,7 +1,9 @@
 """Compatibility, the coloring insertion, meets, and product decoration."""
 
 import collections
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -93,6 +95,19 @@ def leaf_path(tree, a, b):
     vertices = up + down[-2::-1]
     ids = [parent_edge[v] for v in up[:-1]] + [parent_edge[v] for v in down[-2::-1]]
     return vertices, [tree.edges[i] for i in ids]
+
+
+class TestEmpty:
+    def test_copies_and_pickles_are_empty_itself(self):
+        assert copy.copy(EMPTY) is EMPTY
+        assert copy.deepcopy(EMPTY) is EMPTY
+        assert copy.deepcopy([EMPTY])[0] is EMPTY
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(EMPTY, protocol)) is EMPTY, protocol
+
+    def test_is_falsy_and_reads_empty(self):
+        assert bool(EMPTY) is False
+        assert repr(EMPTY) == "Empty"
 
 
 class TestCompatible:

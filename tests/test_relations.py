@@ -1,9 +1,12 @@
 """Relations in the cohomology of the moduli space that the evaluator never uses.
 
 Keel (Trans. AMS 330, 1992) gives the Poincaré polynomial of the space by
-a recursion, the four-point relations among boundary divisors, and psi
-classes as sums of divisors.  Each is checked here on exact values from
-``evaluate``, so a wrong sign or factor shows up as a broken identity.
+a recursion, the four-point relations among boundary divisors, psi
+classes as sums of divisors, and the restriction of a product to a
+boundary divisor, which is the product of two smaller spaces.  Each is
+checked here on exact values from ``evaluate``, so a wrong sign or factor
+shows up as a broken identity.  The dilaton equation and the closed form
+of a divisor's top self-intersection follow from these.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from m0nbar import (
     product_to_decorated,
     strata_product_to_decorated,
 )
-from m0nbar.oracle import random_stable_tree
+from m0nbar.oracle import random_decorated_tree, random_stable_tree, string_eq_psi_integral
 
 PRIMES = (2, 3, 2**61 - 1)
 
@@ -102,6 +105,57 @@ class TestBettiNumbers:
                 assert rank_mod(rows, p) == betti[k], (n, k, p)
 
 
+def restriction_value(points, divisors, psi, rng=None):
+    """The top intersection number of a divisor and psi product, computed by
+    restriction to a boundary divisor; no code of ``weights`` runs.
+
+    ``points`` is a frozenset of labels, ``divisors`` maps one side of each
+    divisor (a frozenset) to its power, and ``psi`` maps labels to powers.
+    D = D_(A|B) is the image of the space on A + * times the space on B + o,
+    and the normal bundle restricts to -psi_* - psi_o, so D^k times the rest
+    is the sum over j of (-1)^(k-1) C(k-1, j) times the two factors' values,
+    with psi_*^j and psi_o^(k-1-j); the first factor's degree forces j.
+    Another divisor nested in a side becomes that factor's divisor, and one
+    that crosses D gives 0.  The fresh point of a factor with m points is
+    named -m: sizes fall along every path, so names never collide.  The
+    divisor restricted on is one with the smallest side, or a random one
+    when ``rng`` is given.
+    """
+    if not divisors:
+        return string_eq_psi_integral(len(points), psi)
+    if rng is None:
+        side = min(divisors, key=lambda s: min(len(s), len(points) - len(s)))
+    else:
+        side = rng.choice(list(divisors))
+    a, b = side, points - side
+    k = divisors[side]
+    halves = ({}, {})
+    for s, power in divisors.items():
+        if s != side:
+            inner = next((t for t in (s, points - s) if t < a or t < b), None)
+            if inner is None:
+                return 0  # the divisor crosses D
+            halves[inner < b][inner] = power
+    fresh = [-(len(a) + 1), -(len(b) + 1)]
+    factors = [a | {fresh[0]}, b | {fresh[1]}]
+    psis = [{lab: w for lab, w in psi.items() if lab in half} for half in (a, b)]
+    j = len(a) - 2 - sum(halves[0].values()) - sum(psis[0].values())
+    if not 0 <= j <= k - 1:
+        return 0
+    psis[0][fresh[0]] = j
+    psis[1][fresh[1]] = k - 1 - j
+    sign = -1 if (k - 1) % 2 else 1
+    return sign * math.comb(k - 1, j) * math.prod(
+        restriction_value(*factor, rng) for factor in zip(factors, halves, psis))
+
+
+def restriction_of(decorated, rng=None):
+    """restriction_value of a decorated tree's product."""
+    tree = decorated.tree
+    divisors = {frozenset(e.block): w + 1 for e, w in decorated.edge_weight.items()}
+    return restriction_value(frozenset(tree.ground.labels), divisors, decorated.psi_weight, rng)
+
+
 def random_completion(n, rng):
     """A divisor and psi product of degree n - 4 on 1..n, as two Counters.
 
@@ -165,3 +219,86 @@ class TestRelations:
                 ground.n, (i, j, k), divisors, psi)
             nonzero += value != 0
         assert nonzero >= 100
+
+    def test_top_self_intersection_of_a_divisor(self):
+        # restricting D^(n-3) to D leaves only the normal bundle's powers:
+        # the integral is (-1)^(n-4) C(n-4, |A|-2)
+        def rows():
+            for n in range(5, 40):
+                for size in range(2, n - 1):
+                    yield n, size
+            for n in (1000, 3000):
+                for size in (2, 3, n // 2, n - 2):
+                    yield n, size
+
+        nonzero = 0
+        for n, size in rows():
+            ground = MarkedSet.range(n)
+            side = range(1, size + 1)
+            expected = (-1) ** (n - 4) * math.comb(n - 4, size - 2)
+            assert integral(ground, {make_split(ground, side): n - 3}, {}) == expected, (n, size)
+            if n <= 12:
+                points = frozenset(ground.labels)
+                assert restriction_value(points, {frozenset(side): n - 3}, {}) == expected
+            nonzero += expected != 0
+        assert nonzero == 665 + 8
+
+    def test_dilaton_equation(self):
+        # with p = n + 1 forgotten by pi: (n - 2) times the integral of alpha
+        # is the integral of psi_p pi^*(alpha), where
+        # pi^*D_(A|B) = D_(A+p|B) + D_(A|B+p) and pi^*psi_i = psi_i - D_(i,p)
+        rng = random.Random(61)
+        nonzero = 0
+        for n in range(4, 9):
+            up = MarkedSet.range(n + 1)
+            p = n + 1
+            for _ in range(60):
+                decorated = random_decorated_tree(n, rng)
+                value = evaluate(decorated).value
+                # each factor of alpha pulled back, as a list of
+                # (coefficient, divisors, psi) terms at n + 1
+                pulled = []
+                for e, w in decorated.edge_weight.items():
+                    with_a = make_split(up, (*e.block, p))
+                    with_b = make_split(up, (*e.complement, p))
+                    pulled.append([(math.comb(w + 1, i), {with_a: i, with_b: w + 1 - i}, {})
+                                   for i in range(w + 2)])
+                for lab, w in decorated.psi_weight.items():
+                    near = make_split(up, (lab, p))
+                    pulled.append([((-1) ** i * math.comb(w, i), {near: i}, {lab: w - i})
+                                   for i in range(w + 1)])
+                total = 0
+                for terms in itertools.product(*pulled):
+                    divisors, psi = Counter(), Counter({p: 1})
+                    for _, d, q in terms:
+                        divisors.update(d)
+                        psi.update(q)
+                    coefficient = math.prod(c for c, _, _ in terms)
+                    total += coefficient * integral(up, +divisors, +psi)
+                assert total == (n - 2) * value, decorated
+                nonzero += value != 0
+        assert nonzero >= 200
+
+
+class TestRestriction:
+    def test_agrees_with_evaluate_on_random_decorated_trees(self):
+        rng = random.Random(53)
+        nonzero = 0
+        for n in range(4, 31):
+            for _ in range(150):
+                decorated = random_decorated_tree(n, rng)
+                value = evaluate(decorated).value
+                assert restriction_of(decorated) == value, decorated
+                nonzero += value != 0
+        assert nonzero >= 600
+
+    def test_any_divisor_may_be_restricted_on_first(self):
+        rng = random.Random(59)
+        nonzero = 0
+        for n in range(4, 25):
+            for _ in range(80):
+                decorated = random_decorated_tree(n, rng)
+                value = restriction_of(decorated)
+                assert restriction_of(decorated, rng) == value, decorated
+                nonzero += value != 0
+        assert nonzero >= 350
