@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import collections
 import decimal
-import itertools
+import gc
 import json
 import operator
 import os
@@ -221,6 +221,10 @@ def to_boundary_product(expr: Expression) -> BoundaryProduct:
     return BoundaryProduct(ground, divisors, psi)
 
 
+# Below this many bits _digits prints with str(): 2^2000 has 603 digits,
+# under the 640-digit floor of sys.set_int_max_str_digits, so str() never
+# refuses such a value, and it is the fastest conversion.
+_STR_BITS = 2000
 # Above this many bits _digits splits the value; below it the plain
 # conversion is as fast, and every value the benchmark renders stays there.
 _SPLIT_BITS = 1 << 16
@@ -232,7 +236,10 @@ def _digits(value: int) -> str:
     # Decimal prints any number of digits exactly; str(int) refuses more than
     # sys.get_int_max_str_digits() of them.  Both convert in time quadratic
     # in the digits, so larger values split first.
-    if value.bit_length() <= _SPLIT_BITS:
+    bits = value.bit_length()
+    if bits <= _STR_BITS:
+        return str(value)
+    if bits <= _SPLIT_BITS:
         return str(decimal.Decimal(value))
     if value < 0:
         return "-" + _digits(-value)
@@ -269,33 +276,20 @@ def _split_decimal(value: int) -> decimal.Decimal:
         return convert(value, len(powers) - 1)
 
 
-# One product's evaluation as rows that every output format prints.
-# ``decorated`` is None when the strata do not meet.  ``edges`` follow
-# ``tree.edges`` and ``vertices`` the vertex numbering; halves and factors
-# are None when no balanced weighting exists.
-_Report = collections.namedtuple("_Report", "product decorated result edges vertices")
-_EdgeRow = collections.namedtuple("_EdgeRow", "split parent child k halves factor")
-_VertexRow = collections.namedtuple("_VertexRow", "leaves dim psi factor")
+# One product's evaluation.  ``decorated`` is None when the strata do not
+# meet.  Every output format reads the tables these hold: the tree's
+# ``edges``, ``ends``, ``vertex_leaves`` and ``dims``, the decoration's
+# ``edge_weight`` and ``vertex_psi``, and the result's halves and factors,
+# which are empty when no balanced weighting exists.
+_Report = collections.namedtuple("_Report", "product decorated result")
 
 
 def _report(expr: Expression) -> _Report:
     product = to_boundary_product(expr)
     decorated = product_to_decorated(product)
     if decorated is EMPTY:
-        return _Report(product, None, EvalResult.empty_intersection(), [], [])
-    result = evaluate(decorated)
-    tree, w = decorated.tree, result.weighting
-    # halves and factors follow tree order, and are empty when w is None
-    rows = itertools.zip_longest(
-        tree.edges, tree.ends, decorated.edge_weight.values(),
-        () if w is None else w.halves, result.edge_factors,
-    )
-    edges = [_EdgeRow(e, p, c, k, halves, f) for e, (p, c), k, halves, f in rows]
-    rows = itertools.zip_longest(
-        tree.vertex_leaves, tree.dims, decorated.vertex_psi, result.vertex_factors,
-    )
-    vertices = list(itertools.starmap(_VertexRow, rows))
-    return _Report(product, decorated, result, edges, vertices)
+        return _Report(product, None, EvalResult.empty_intersection())
+    return _Report(product, decorated, evaluate(decorated))
 
 
 def _verdict(report: _Report) -> list[str]:
@@ -309,19 +303,25 @@ def _verdict(report: _Report) -> list[str]:
 
 def _text_output(report: _Report) -> str:
     lines = [f"n = {report.product.ground.n}"]
-    if report.decorated is not None:
-        lines.append(f"stratum: codim {len(report.edges)}, dim {report.decorated.tree.dim}")
-        for v, row in enumerate(report.vertices):
-            lines.append(f"  v{v}: leaves {','.join(map(str, row.leaves)) or '-'}  dim {row.dim}")
-        for row in report.edges:
-            line = f"  edge v{row.parent}-v{row.child}  {row.split}  k={row.k}"
-            if row.halves is not None:
-                line += f"  halves {row.halves[0]}+{row.halves[1]}  factor {_digits(row.factor)}"
-            lines.append(line)
-        psi = sorted((lab, v, w) for v, row in enumerate(report.vertices) for lab, w in row.psi)
+    decorated, result = report.decorated, report.result
+    if decorated is not None:
+        tree = decorated.tree
+        lines.append(f"stratum: codim {len(tree.edges)}, dim {tree.dim}")
+        for v, (leaves, dim) in enumerate(zip(tree.vertex_leaves, tree.dims)):
+            lines.append(f"  v{v}: leaves {','.join(map(str, leaves)) or '-'}  dim {dim}")
+        edges = [f"  edge v{p}-v{c}  {e}  k={k}"
+                 for e, (p, c), k in zip(tree.edges, tree.ends, decorated.edge_weight.values())]
+        if result.weighting is None:
+            lines += edges
+        else:
+            factors = list(map(_digits, result.edge_factors))
+            lines += [f"{line}  halves {hp}+{hc}  factor {f}"
+                      for line, (hp, hc), f in zip(edges, result.weighting.halves, factors)]
+        psi = sorted((lab, v, w) for v, pairs in enumerate(decorated.vertex_psi)
+                     for lab, w in pairs)
         lines += [f"  psi at leaf {lab} (v{v}): weight {w}" for lab, v, w in psi]
-        if report.result.weighting is not None:
-            factors = [_digits(row.factor) for row in report.edges + report.vertices]
+        if result.weighting is not None:
+            factors += map(_digits, result.vertex_factors)
             lines.append(f"factors: {' * '.join(factors)}")
     return "\n".join(lines + _verdict(report)) + "\n"
 
@@ -333,49 +333,53 @@ def _json_output(report: _Report) -> str:
     written once, from one string per label, and goes into both
     ``stratum.splits`` and ``balanced``.
     """
-    result, edges = report.result, report.edges
+    result, decorated = report.result, report.decorated
     n = report.product.ground.n
-    if sum(len(row.split.block) for row in edges) >= n:
+    if decorated is None:
+        edges, weights, dims = (), [], []
+    else:
+        tree = decorated.tree
+        edges, weights, dims = tree.edges, list(decorated.edge_weight.values()), tree.dims
+    if sum(len(e.block) for e in edges) >= n:
         # the blocks spell n labels or more: a table of n strings pays off
         table = list(map(str, range(n + 1)))
-        blocks = ["[" + ", ".join(operator.itemgetter(*row.split.block)(table)) + "]"
-                  for row in edges]
+        blocks = ["[" + ", ".join(operator.itemgetter(*e.block)(table)) + "]" for e in edges]
     else:
-        blocks = ["[" + ", ".join(map(str, row.split.block)) + "]" for row in edges]
+        blocks = ["[" + ", ".join(map(str, e.block)) + "]" for e in edges]
     head = {"n": n, "value": _digits(result.value), "sign": result.sign, "reason": result.reason}
     out = [json.dumps(head)[:-1], ', "stratum": ']
-    out += ["null"] if report.decorated is None else ['{"splits": [', ", ".join(blocks), "]}"]
-    out += [', "edge_weights": ', json.dumps([row.k for row in edges]),
-            ', "vertex_dims": ', json.dumps([row.dim for row in report.vertices]),
+    out += ["null"] if decorated is None else ['{"splits": [', ", ".join(blocks), "]}"]
+    out += [', "edge_weights": ', json.dumps(weights),
+            ', "vertex_dims": ', json.dumps(dims),
             ', "balanced": [']
-    factors = {"edges": [], "vertices": []}
     if result.weighting is not None:
-        for i, (block, row) in enumerate(zip(blocks, edges)):
-            hp, hc = row.halves
+        for i, (block, (hp, hc)) in enumerate(zip(blocks, result.weighting.halves)):
             out += [', {"edge": ' if i else '{"edge": ', block, f', "halves": [{hp}, {hc}]}}']
-        factors = {
-            "edges": [_digits(row.factor) for row in edges],
-            "vertices": [_digits(row.factor) for row in report.vertices],
-        }
+    # both factor tuples are empty without a weighting
+    factors = {
+        "edges": list(map(_digits, result.edge_factors)),
+        "vertices": list(map(_digits, result.vertex_factors)),
+    }
     out += ['], "factors": ', json.dumps(factors), "}\n"]
     return "".join(out)
 
 
 def _dot_output(report: _Report) -> str:
     lines = ["graph stratum {"]
-    if report.decorated is None:
+    decorated, weighting = report.decorated, report.result.weighting
+    if decorated is None:
         lines.append('  note [shape=plaintext, label="empty intersection: value 0"];')
     else:
+        tree = decorated.tree
         lines.append("  node [shape=circle];")
-        lines += [f'  v{v} [label="{row.dim}"];' for v, row in enumerate(report.vertices)]
-        for row in report.edges:
-            label = f"k={row.k}"
-            if row.halves is not None:
-                label += f": {row.halves[0]}+{row.halves[1]}"
-            lines.append(f'  v{row.parent} -- v{row.child} [label="{label}"];')
-        for v, row in enumerate(report.vertices):
-            psi = dict(row.psi)
-            for lab in row.leaves:
+        lines += [f'  v{v} [label="{dim}"];' for v, dim in enumerate(tree.dims)]
+        labels = [f"k={k}" for k in decorated.edge_weight.values()]
+        if weighting is not None:
+            labels = [f"{label}: {hp}+{hc}" for label, (hp, hc) in zip(labels, weighting.halves)]
+        lines += [f'  v{p} -- v{c} [label="{label}"];' for (p, c), label in zip(tree.ends, labels)]
+        for v, (leaves, pairs) in enumerate(zip(tree.vertex_leaves, decorated.vertex_psi)):
+            psi = dict(pairs)
+            for lab in leaves:
                 lines.append(f'  leaf{lab} [shape=plaintext, label="{lab}"];')
                 suffix = f' [label="psi={psi[lab]}"]' if lab in psi else ""
                 lines.append(f"  v{v} -- leaf{lab}{suffix};")
@@ -440,29 +444,34 @@ def _cmd_explain(args) -> int:
     ]
     if args.coloring:
         out += _coloring_steps(product)
-    if report.decorated is not None:
-        out.append(f"stratum has {len(report.vertices)} internal vertices:")
-        for v, row in enumerate(report.vertices):
-            leaves = ",".join(map(str, row.leaves)) or "-"
-            psi = "".join(f", psi^{w} at leaf {lab}" for lab, w in row.psi)
-            out.append(f"  v{v}: leaves {{{leaves}}}, dim {row.dim}{psi}")
+    decorated, result = report.decorated, report.result
+    if decorated is not None:
+        tree = decorated.tree
+        out.append(f"stratum has {tree.num_vertices} internal vertices:")
+        vertices = zip(tree.vertex_leaves, tree.dims, decorated.vertex_psi)
+        for v, (leaves, dim, pairs) in enumerate(vertices):
+            leaves = ",".join(map(str, leaves)) or "-"
+            psi = "".join(f", psi^{w} at leaf {lab}" for lab, w in pairs)
+            out.append(f"  v{v}: leaves {{{leaves}}}, dim {dim}{psi}")
         trace: list = []
-        balance(report.decorated, trace)
+        balance(decorated, trace)
         if trace:
             out.append("greedy balancing, peeling vertices with one unresolved edge:")
             for v, e, near, far in trace:
                 out.append(f"  peel v{v} along {e}: k(v{v})={near}, far half={far}")
-        if report.result.weighting is not None:
-            for row in report.edges:
-                out.append(f"edge {row.split}: ({row.k}; {row.halves[0]},{row.halves[1]}) "
-                           f"-> {_digits(row.factor)}")
-            for v, row in enumerate(report.vertices):
-                out.append(f"vertex v{v}: multinomial of dim {row.dim} -> {_digits(row.factor)}")
+        if result.weighting is not None:
+            edges = zip(tree.edges, decorated.edge_weight.values(), result.weighting.halves,
+                        result.edge_factors)
+            for e, k, (hp, hc), f in edges:
+                out.append(f"edge {e}: ({k}; {hp},{hc}) -> {_digits(f)}")
+            for v, (dim, f) in enumerate(zip(tree.dims, result.vertex_factors)):
+                out.append(f"vertex v{v}: multinomial of dim {dim} -> {_digits(f)}")
         elif trace:
             out.append("a half-weight went negative: no balanced weighting")
         else:
             # balance stops before any peel only when psi weights overload a vertex
-            loads = [(sum(w for _, w in row.psi), row.dim) for row in report.vertices]
+            loads = [(sum(w for _, w in pairs), dim)
+                     for pairs, dim in zip(decorated.vertex_psi, tree.dims)]
             v, (psi, dim) = next((v, load) for v, load in enumerate(loads) if load[0] > load[1])
             out.append(f"psi weight {psi} at v{v} exceeds its dimension {dim}: "
                        "no balanced weighting")
@@ -609,17 +618,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # The command runs with the cyclic collector paused: evaluation and its
+    # renderers make no reference cycles, so a collection pass would only
+    # scan the tables, which grow with n.  The caller's state comes back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (ParseError, UnstableSplit, LabelOutOfRange, TooLarge, DegreeMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, DegreeMismatch) else 2
-    except (MemoryError, OverflowError):
-        # OverflowError: a table of more than sys.maxsize entries, which no
-        # memory holds
-        print(f"error: out of memory in {args.command}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (ParseError, UnstableSplit, LabelOutOfRange, TooLarge, DegreeMismatch) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3 if isinstance(exc, DegreeMismatch) else 2
+        except (MemoryError, OverflowError):
+            # OverflowError: a table of more than sys.maxsize entries, which
+            # no memory holds
+            print(f"error: out of memory in {args.command}", file=sys.stderr)
+            return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:

@@ -1,6 +1,8 @@
 """Expression grammar, output formats, and exit codes."""
 
+import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -402,27 +404,29 @@ def test_json_eval_reads_each_block_at_most_once(built_by, monkeypatch):
 
 def reference_json(report):
     # the renderer as one json.dumps of the whole payload, which fixes the
-    # layout that _json_output writes piece by piece
-    result = report.result
-    blocks = [row.split.block for row in report.edges]
+    # layout that _json_output writes piece by piece; it reads the tables
+    result, decorated = report.result, report.decorated
+    tree = None if decorated is None else decorated.tree
+    blocks = [] if tree is None else [e.block for e in tree.edges]
     payload = {
         "n": report.product.ground.n,
         "value": _digits(result.value),
         "sign": result.sign,
         "reason": result.reason,
-        "stratum": None if report.decorated is None else {"splits": blocks},
-        "edge_weights": [row.k for row in report.edges],
-        "vertex_dims": [row.dim for row in report.vertices],
+        "stratum": None if tree is None else {"splits": blocks},
+        "edge_weights": [] if tree is None else list(decorated.edge_weight.values()),
+        "vertex_dims": [] if tree is None else list(tree.dims),
         "balanced": [],
         "factors": {"edges": [], "vertices": []},
     }
     if result.weighting is not None:
         payload["balanced"] = [
-            {"edge": block, "halves": list(row.halves)} for block, row in zip(blocks, report.edges)
+            {"edge": block, "halves": list(halves)}
+            for block, halves in zip(blocks, result.weighting.halves)
         ]
         payload["factors"] = {
-            "edges": [_digits(row.factor) for row in report.edges],
-            "vertices": [_digits(row.factor) for row in report.vertices],
+            "edges": [_digits(f) for f in result.edge_factors],
+            "vertices": [_digits(f) for f in result.vertex_factors],
         }
     return json.dumps(payload) + "\n"
 
@@ -509,6 +513,131 @@ def test_split_digits_match_the_plain_conversion():
     values += [(1 << bits) - 1 for bits in (_SPLIT_BITS * 2, _SPLIT_BITS * 2 + 1)]
     for value in values:
         assert _digits(value) == str(Decimal(value))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+@pytest.mark.parametrize("limit", [None, 640, 0], ids=["default", "floor", "unlimited"])
+def test_digits_across_the_str_boundary(limit):
+    # values below 2^2000 print with str(), which no digit limit refuses;
+    # from 2^2000 on they take the Decimal paths
+    values = [1, 2**1999, 2**2000 - 1, 2**2000, 2**2001]
+    values = [0] + values + [-v for v in values]
+    saved = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        for value in values:
+            assert _digits(value) == str(Decimal(value))
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector switched on or off, and the caller's state after."""
+    saved = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if saved else gc.disable)()
+
+
+def bushy_stratum():
+    # bench/gen.py's bushy stratum at n = 2000, balanced ("ok")
+    gen = bench_gen()
+    tree = gen.bushy_tree(2000, random.Random("ladder:2000"))
+    return gen.make_instance("random", tree, "ok", random.Random(1), psi_share=0.3, vary=False)
+
+
+def test_eval_path_makes_no_reference_cycles(capsys):
+    # main pauses the cyclic collector, which is free only while the report,
+    # every eval format and explain leave no cycle for a collection to find
+    bushy = bushy_stratum()
+    cases = [(bushy.text, bushy.n), ("D{1,2}^3 D{5,6,7}", 7), ("D{1,2} D{1,3}", 5)]
+    cases += [(inst.text, inst.n) for inst in bench_gen().batch_small(3, 50)]
+    reasons = set()
+    gc.collect()
+    with collector(False):
+        for text, n in cases:
+            report = _report(parse(text, n))
+            reasons.add(report.result.reason)
+            for render in cli._RENDERERS.values():
+                render(report)
+            cli._cmd_explain(argparse.Namespace(n=n, expr=text, coloring=n <= 60))
+        assert gc.collect() == 0
+    capsys.readouterr()
+    assert reasons == {"ok", "no_balance", "empty"}
+
+
+class TestCollectorPause:
+    # main runs each command with the cyclic collector paused and hands the
+    # caller's state back however the command ends
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # the collector's state while the command parses its expression
+        states = []
+        parse = cli.parse
+
+        def recorded(text, n):
+            states.append(gc.isenabled())
+            return parse(text, n)
+
+        monkeypatch.setattr(cli, "parse", recorded)
+        return states
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "--n", "5", "D{1,2}^2"], 0),
+        (["eval", "--n", "5", "D{1,2"], 2),  # parse error
+        (["eval", "--n", "5", "D{1,2}"], 3),  # degree mismatch
+    ])
+    def test_state_after_an_exit_code(self, argv, code, enabled, seen, capsys):
+        with collector(enabled):
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_after_an_escaping_exception(self, enabled, seen, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with collector(enabled):
+            with pytest.raises(BrokenPipeError):
+                main(["eval", "--n", "5", "D{1,2}^2"])
+            assert gc.isenabled() is enabled
+        assert seen == [False]
+
+    def test_state_after_a_usage_error(self, capsys):
+        with collector(True):
+            with pytest.raises(SystemExit):
+                main(["eval", "--n", "2", "psi1"])
+            assert gc.isenabled()
+
+    def test_eval_at_n_2000_runs_no_collection(self, capsys):
+        bushy = bushy_stratum()
+        generations = []
+
+        def hook(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        argv = ["eval", "--format", "json", "--n", str(bushy.n), bushy.text]
+        with collector(True):
+            # an empty young generation, so that what the command leaves
+            # behind does not start a collection as soon as it returns
+            gc.collect()
+            gc.callbacks.append(hook)
+            try:
+                status = main(argv)
+            finally:
+                gc.callbacks.remove(hook)
+        assert status == 0 and generations == []
+        assert json.loads(capsys.readouterr().out)["reason"] == "ok"
 
 
 class TestExplain:
