@@ -4,9 +4,12 @@ Builds the bushy stratum of ``bench/gen.py`` at n = 102,400 (about 60,000
 divisors, 7.8 MB of input), runs ``python -m m0nbar eval --format json`` on
 it in a child process whose address space is capped at 1 GiB, and compares
 the value and the reason with the generator's own reference, which never
-consults m0nbar.  Prints the child's wall time.  (Its peak RSS is not
-printed: a child forked from this process, which holds the generator's
-tables, counts this process's pages in its own peak.)
+consults m0nbar.  Prints the child's wall time and its own peak resident
+size: the child runs the CLI through a short wrapper whose exit hook
+writes the ``VmHWM`` line of ``/proc/self/status`` to stderr, a
+high-water mark that restarts at ``exec`` (``ru_maxrss`` would not: it
+counts the pages of this process, which holds the generator's tables).
+Where ``/proc`` is missing the peak reads "unavailable".
 
     python3 scripts/sized_check.py
 
@@ -32,6 +35,21 @@ import gen  # noqa: E402
 
 N = 102_400
 LIMIT_MB = 1024
+# python -m m0nbar, plus an exit hook that reports the process's own peak
+# resident size on stderr, so that stdout stays the CLI's alone
+CHILD = """\
+import atexit, runpy, sys
+
+def peak():
+    try:
+        with open("/proc/self/status") as status:
+            sys.stderr.writelines(line for line in status if line.startswith("VmHWM:"))
+    except OSError:
+        pass
+
+atexit.register(peak)
+runpy.run_module("m0nbar", run_name="__main__", alter_sys=True)
+"""
 
 
 def instance(n: int) -> gen.Instance:
@@ -55,12 +73,14 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "m0nbar", "eval", "--format", "json", "--n", str(inst.n)],
+        [sys.executable, "-c", CHILD, "eval", "--format", "json", "--n", str(inst.n)],
         input=inst.text, capture_output=True, text=True, env=env, preexec_fn=cap_memory,
     )
     took = time.perf_counter() - start
+    hwm = [line for line in proc.stderr.splitlines() if line.startswith("VmHWM:")]
+    peak = hwm[-1].split(":", 1)[1].strip() if hwm else "unavailable"
     print(f"eval --format json under a {LIMIT_MB} MB address-space limit: "
-          f"exit {proc.returncode}, {took:.2f} s")
+          f"exit {proc.returncode}, {took:.2f} s, peak resident {peak}")
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr, end="")
         return 1

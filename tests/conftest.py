@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from m0nbar import BoundaryProduct, MarkedSet, make_split, tree_from_splits
@@ -40,3 +43,14 @@ def half_weights(weighting):
         out[(p, e)] = hp
         out[(c, e)] = hc
     return out
+
+
+def bench_gen():
+    """The benchmark's seeded generators, bench/gen.py, imported from the checkout."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(bench)
+    return gen

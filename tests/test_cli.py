@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_gen
 from m0nbar import cli, oracle, weights
 from m0nbar.cli import (
     _EXPANSION_TRIALS,
@@ -431,17 +433,6 @@ def reference_json(report):
     return json.dumps(payload) + "\n"
 
 
-def bench_gen():
-    # the benchmark's seeded generators, imported from the checkout
-    bench = str(Path(__file__).resolve().parent.parent / "bench")
-    sys.path.insert(0, bench)
-    try:
-        import gen
-    finally:
-        sys.path.remove(bench)
-    return gen
-
-
 def test_report_at_large_n_builds_no_mask():
     # the evaluation path reads blocks as labels: no edge of a stratum-large
     # tree caches a block_mask, and the tree keeps no keyed copy of its edges
@@ -568,6 +559,37 @@ def test_eval_path_makes_no_reference_cycles(capsys):
         assert gc.collect() == 0
     capsys.readouterr()
     assert reasons == {"ok", "no_balance", "empty"}
+
+
+def traced_peak(call):
+    """What call() returns, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def caterpillar_stratum():
+    # bench/gen.py's maximal caterpillar at n = 800, whose json output is
+    # about 3 MB
+    gen = bench_gen()
+    rng = random.Random("caterpillar:800")
+    return gen.make_instance("caterpillar", gen.caterpillar_tree(800, rng), "ok", rng, vary=False)
+
+
+@pytest.mark.parametrize("stratum", [bushy_stratum, caterpillar_stratum],
+                         ids=["bushy", "caterpillar"])
+def test_eval_working_set_is_proportional_to_its_output(stratum, capsys):
+    # an eval holds its stratum's tables and its output, nothing that grows
+    # faster; the first call loads what a process keeps for every call
+    inst = stratum()
+    argv = ["eval", "--n", str(inst.n), "--format", "json", inst.text]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    status, peak = traced_peak(lambda: main(argv))
+    assert status == 0 and capsys.readouterr().out == out
+    assert peak < 16 * len(out)
 
 
 class TestCollectorPause:
@@ -816,6 +838,17 @@ class TestCheck:
         assert main(["check", "--suite", suite, "--n-max", str(guard + 1)]) == 2
         message = f"error: suite '{suite}' is guarded at n <= {guard}, got --n-max {guard + 1}\n"
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("suite, guard", [("expansion", 8), ("string", 10), ("flag", 7)])
+    def test_working_set_at_the_guard_is_under_1_mib(self, suite, guard, capsys):
+        # no suite lists all its cases, so its traced peak does not grow with
+        # their number (11,440 at string's guard); the first call imports
+        # the oracle and fills its caches
+        argv = ["check", "--suite", suite, "--n-max", str(guard)]
+        assert main(argv) == 0
+        status, peak = traced_peak(lambda: main(argv))
+        assert status == 0
+        assert peak < 1 << 20
 
     def test_expansion_guard_stays_within_the_oracle_budget(self):
         # random_decorated_tree spends at most the stratum's dimension, at

@@ -15,6 +15,7 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import bench_gen
 
 from m0nbar import (
     EMPTY,
@@ -26,6 +27,7 @@ from m0nbar import (
     product_to_decorated,
     strata_product_to_decorated,
 )
+from m0nbar.cli import parse, to_boundary_product
 from m0nbar.oracle import random_decorated_tree, random_stable_tree, string_eq_psi_integral
 
 PRIMES = (2, 3, 2**61 - 1)
@@ -72,10 +74,18 @@ def rank_mod(rows, p):
     return rank
 
 
+def outcome(product):
+    """The reason and the value of a product."""
+    decorated = product_to_decorated(product)
+    if decorated is EMPTY:
+        return "empty", 0
+    result = evaluate(decorated)
+    return result.reason, result.value
+
+
 def integral(ground, divisors, psi):
     """The top intersection number of a divisor and psi product, 0 when empty."""
-    decorated = product_to_decorated(BoundaryProduct(ground, dict(divisors), dict(psi)))
-    return 0 if decorated is EMPTY else evaluate(decorated).value
+    return outcome(BoundaryProduct(ground, dict(divisors), dict(psi)))[1]
 
 
 def pairing(a, b):
@@ -278,6 +288,56 @@ class TestRelations:
                 assert total == (n - 2) * value, decorated
                 nonzero += value != 0
         assert nonzero >= 200
+
+
+def relabeled(product, sigma):
+    """The product with every label l renamed sigma[l], divisors and psi classes alike."""
+    ground = product.ground
+    divisors = {make_split(ground, [sigma[lab] for lab in d.block]): k
+                for d, k in product.divisor_powers.items()}
+    psi = {sigma[lab]: k for lab, k in product.psi_powers.items()}
+    return BoundaryProduct(ground, divisors, psi)
+
+
+def permutation(n, rng):
+    """A random permutation of 1..n, as a list indexed by label."""
+    return [0, *rng.sample(range(1, n + 1), n)]
+
+
+class TestRelabeling:
+    # the symmetric group acts on the space, so renaming the labels keeps
+    # every integral; it moves each split's canonical side, the order of
+    # edges, the vertex numbering and balance's heap order, which every
+    # other identity holds fixed
+
+    def test_random_decorated_trees(self):
+        rng = random.Random(67)
+        nonzero = 0
+        for n in range(4, 31):
+            for _ in range(40):
+                decorated = random_decorated_tree(n, rng)
+                divisors = {e: w + 1 for e, w in decorated.edge_weight.items()}
+                product = BoundaryProduct(decorated.tree.ground, divisors, decorated.psi_weight)
+                expected = outcome(product)
+                assert outcome(relabeled(product, permutation(n, rng))) == expected, decorated
+                nonzero += expected[1] != 0
+        assert nonzero >= 200
+
+    def test_large_strata(self):
+        # bench/gen.py's strata, whose reason and value the generator
+        # computes without m0nbar
+        gen = bench_gen()
+        rng = random.Random("relabel")
+        tree = gen.bushy_tree(2000, rng)
+        instances = [gen.make_instance(family, tree, reason, rng, psi_share=0.3, vary=False)
+                     for family, reason in (("random", "ok"), ("unbalanced", "no_balance"))]
+        caterpillar = gen.caterpillar_tree(800, rng)
+        instances.append(gen.make_instance("caterpillar", caterpillar, "ok", rng, vary=False))
+        for inst in instances:
+            product = to_boundary_product(parse(inst.text, inst.n))
+            assert outcome(product) == (inst.reason, inst.value), inst.key
+            sigma = permutation(inst.n, rng)
+            assert outcome(relabeled(product, sigma)) == (inst.reason, inst.value), inst.key
 
 
 class TestRestriction:
