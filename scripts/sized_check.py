@@ -4,17 +4,19 @@ Builds the bushy stratum of ``bench/gen.py`` at n = 102,400 (about 60,000
 divisors, 7.8 MB of input), runs ``python -m m0nbar eval --format json`` on
 it in a child process whose address space is capped at 1 GiB, and compares
 the value and the reason with the generator's own reference, which never
-consults m0nbar.  Prints the child's wall time and its own peak resident
-size: the child runs the CLI through a short wrapper whose exit hook
-writes the ``VmHWM`` line of ``/proc/self/status`` to stderr, a
-high-water mark that restarts at ``exec`` (``ru_maxrss`` would not: it
-counts the pages of this process, which holds the generator's tables).
+consults m0nbar, and the witness: each edge's balanced halves with the
+decoration the generator drew the instance from.  Prints the child's wall
+time and its own peak resident size: the child runs the CLI through a
+short wrapper whose exit hook writes the ``VmHWM`` line of
+``/proc/self/status`` to stderr, a high-water mark that restarts at
+``exec`` (``ru_maxrss`` would not: it counts the pages of this process,
+which holds the generator's tables).
 Where ``/proc`` is missing the peak reads "unavailable".
 
     python3 scripts/sized_check.py
 
-Exits 0 when the output matches and 1 otherwise.  Needs the ``resource``
-module (POSIX); Linux enforces the RLIMIT_AS cap.
+Exits 0 when the value, the reason and the halves match, and 1 otherwise.
+Needs the ``resource`` module (POSIX); Linux enforces the RLIMIT_AS cap.
 """
 
 from __future__ import annotations
@@ -52,15 +54,41 @@ runpy.run_module("m0nbar", run_name="__main__", alter_sys=True)
 """
 
 
-def instance(n: int) -> gen.Instance:
+def instance(n: int) -> tuple[gen.Instance, gen.Decoration]:
+    """The instance, and the decoration its reference value was read off."""
     rng = random.Random(f"ladder:{n}")
     tree = gen.bushy_tree(n, rng)
-    return gen.make_instance("bushy", tree, "ok", rng, psi_share=0.3, vary=False)
+    # for reason "ok", make_instance's first draw is gen.balanced's
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    decoration = gen.balanced(tree, twin, 0.3)
+    return gen.make_instance("bushy", tree, "ok", rng, psi_share=0.3, vary=False), decoration
+
+
+def halves_match(balanced: list[dict], decoration: gen.Decoration) -> bool:
+    """Whether eval's (parent half, child half) per edge are the generator's.
+
+    Edges are matched by (smallest label, block size), which is unique in a
+    laminar family.  One walk up the generator's tree reads both off its
+    leaves, in time linear in n; reading them off the block masks would take
+    time quadratic in n (1.5 s at n = 102,400).
+    """
+    tree = decoration.tree
+    low = [min(labels, default=tree.n + 1) for labels in tree.leaves]
+    size = list(map(len, tree.leaves))
+    for v in reversed(tree.order):  # children before parents
+        p = tree.parent[v]
+        if p is not None:
+            low[p] = min(low[p], low[v])
+            size[p] += size[v]
+    expected = {(low[v], size[v]): [decoration.up[v], decoration.down[v]] for v in tree.edges}
+    got = {(entry["edge"][0], len(entry["edge"])): entry["halves"] for entry in balanced}
+    return len(balanced) == len(expected) and got == expected
 
 
 def main() -> int:
     start = time.perf_counter()
-    inst = instance(N)
+    inst, decoration = instance(N)
     print(f"generated n={inst.n}: codim {inst.codim}, {len(inst.text)} bytes of input, "
           f"{time.perf_counter() - start:.1f} s")
 
@@ -88,7 +116,12 @@ def main() -> int:
     ok = (out["reason"], gen.decimal_to_int(out["value"])) == (inst.reason, inst.value)
     print("value and reason match the reference" if ok else
           f"MISMATCH: got {out['reason']}, expected {inst.reason} and the reference value")
-    return 0 if ok else 1
+    start = time.perf_counter()
+    same = halves_match(out["balanced"], decoration)
+    print(f"halves of all {inst.codim} edges match the generator's decoration, "
+          f"{time.perf_counter() - start:.2f} s" if same else
+          "MISMATCH: the balanced halves differ from the generator's decoration")
+    return 0 if ok and same else 1
 
 
 if __name__ == "__main__":

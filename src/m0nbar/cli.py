@@ -516,11 +516,11 @@ def _cmd_check(args) -> int:
             decorated = oracle.random_decorated_tree(n, rng)
             result = evaluate(decorated)
             terms = oracle.surviving_decompositions(decorated)
-            ok = oracle._signed_total(decorated, terms) == result.value and len(terms) <= 1
-            if result.weighting is not None:
+            # the weighting evaluate read its value off is the one term, or none is
+            ok = ([h for h, _ in terms] == ([result.weighting.halves] if result.weighting else [])
+                  and oracle._signed_total(decorated, terms) == result.value)
+            if result.weighting:
                 ok = ok and _ratio(result.weighting) == result.value
-            else:
-                ok = ok and result.value == 0
             failures += not ok
         return _EXPANSION_TRIALS, failures
 

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
+    DimensionUnbalanced,
     EdgeConditionFails,
     GroundMismatch,
     IncompatibleSplits,
@@ -309,6 +310,13 @@ class DecoratedTree:
     @property
     def weight_total(self) -> int:
         return sum(self.edge_weight.values()) + sum(self.psi_weight.values())
+
+
+def _require_dimension(decorated: DecoratedTree) -> None:
+    # balance's and the expansion oracle's precondition: the weights fill the stratum
+    if decorated.weight_total != decorated.tree.dim:
+        raise DimensionUnbalanced(f"edge weights + psi weights = {decorated.weight_total}, "
+                                  f"but the stratum has dimension {decorated.tree.dim}")
 
 
 DecorationResult = DecoratedTree | _EmptyIntersection

@@ -19,8 +19,8 @@ from collections.abc import Iterator, Mapping
 from functools import lru_cache
 
 from .combinat import multinomial
-from .errors import BudgetExceeded, DegreeMismatch, DimensionUnbalanced, TooLarge
-from .intersect import DecoratedTree, _blocks_meet
+from .errors import BudgetExceeded, DegreeMismatch, TooLarge
+from .intersect import DecoratedTree, _blocks_meet, _require_dimension
 from .trees import (
     MarkedSet,
     Split,
@@ -42,16 +42,11 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[list, int]]
     weights at each vertex total exactly the vertex dimension.  Returns
     (halves, multinomial contribution) pairs, where ``halves`` lists each
     edge's (parent half, child half) in ``tree.edges`` order, the table
-    ``BalancedWeighting.halves`` holds.  Uniqueness of balanced weightings
-    says the list never has more than one entry, and the tests verify that
-    claim without the greedy peel.
+    ``BalancedWeighting.halves`` holds.  Balanced weightings are unique, so
+    the list is empty or holds the one ``weights.balance`` finds.
     """
+    _require_dimension(decorated)
     tree = decorated.tree
-    if decorated.weight_total != tree.dim:
-        raise DimensionUnbalanced(
-            f"edge weights + psi weights = {decorated.weight_total}, "
-            f"but the stratum has dimension {tree.dim}"
-        )
     k_total = sum(decorated.edge_weight.values())
     if k_total > EXPANSION_BUDGET:
         raise BudgetExceeded(

@@ -16,8 +16,8 @@ import math
 from collections.abc import Mapping
 
 from .combinat import factorial, multinomial
-from .errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBalanceGiven
-from .intersect import DecoratedTree
+from .errors import DegreeMismatch, LabelOutOfRange, NoBalanceGiven
+from .intersect import DecoratedTree, _require_dimension
 
 
 class BalancedWeighting(collections.namedtuple("BalancedWeighting", "decorated halves")):
@@ -65,12 +65,8 @@ def balance(decorated: DecoratedTree, trace: list | None = None) -> BalancedWeig
     Raises DimensionUnbalanced when edge plus psi weights do not sum to the
     total vertex dimension, since the question is ill-posed then.
     """
+    _require_dimension(decorated)
     tree = decorated.tree
-    supplied = decorated.weight_total
-    if supplied != tree.dim:
-        raise DimensionUnbalanced(
-            f"edge weights + psi weights = {supplied}, but the stratum has dimension {tree.dim}"
-        )
     residual = list(tree.dims)
     for v, pairs in enumerate(decorated.vertex_psi):
         if pairs:

@@ -883,6 +883,24 @@ class TestCheck:
             ) + "DISCREPANCIES FOUND\n"
         assert capsys.readouterr() == (expected, "")
 
+    def test_expansion_suite_compares_the_halves(self, capsys, monkeypatch):
+        # each surviving term with every edge's halves swapped keeps its
+        # value, its ratio and its count; only the halves tell it apart
+        real = oracle.surviving_decompositions
+        differ = dict.fromkeys(range(4, 7), 0)
+
+        def swapped(decorated):
+            terms = real(decorated)
+            faked = [([(hc, hp) for hp, hc in halves], c) for halves, c in terms]
+            differ[decorated.tree.ground.n] += faked != terms
+            return faked
+
+        monkeypatch.setattr(oracle, "surviving_decompositions", swapped)
+        assert main(["check", "--suite", "expansion", "--n-max", "6", "--format", "json"]) == 4
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert [(r["n"], r["failures"]) for r in rows] == list(differ.items())
+        assert differ[5] and differ[6]
+
     def test_expansion_suite_draws_from_one_stream(self, capsys, monkeypatch):
         # one random.Random(seed) runs on from one n to the next
         drawn = []

@@ -7,6 +7,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m0nbar.errors import DegreeMismatch, EdgeConditionFails, GroundMismatch, NotInternalEdge
 from m0nbar.intersect import (
@@ -412,6 +414,26 @@ class TestProductToDecorated:
             BoundaryProduct(G5, {make_split(G5, {1, 2}): 0}, {})
         with pytest.raises(ValueError):
             BoundaryProduct(G5, {}, {1: 0})
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_an_accepted_product_fills_its_stratum(self, data):
+        # the CLI decorates only here, so no CLI input meets balance's
+        # DimensionUnbalanced: the degree is n - 3, and the codimension is
+        # the divisors' degree less the edge weights
+        n = data.draw(st.integers(4, 14))
+        tree = random_stable_tree(n, data.draw(st.randoms(use_true_random=False)))
+        support = data.draw(st.lists(st.sampled_from(tree.edges), unique=True)
+                            if tree.edges else st.just([]))
+        # each divisor takes degree 1, and the rest of n - 3 lands anywhere
+        spare = n - 3 - len(support)
+        extra = data.draw(st.lists(st.sampled_from([*support, *range(1, n + 1)]),
+                                   min_size=spare, max_size=spare))
+        counts = collections.Counter(support + extra)
+        divisors = {e: counts[e] for e in support}
+        psi = {lab: k for lab, k in counts.items() if isinstance(lab, int)}
+        decorated = product_to_decorated(BoundaryProduct(tree.ground, divisors, psi))
+        assert decorated.weight_total == decorated.tree.dim
 
 
 class TestDecoratedTree:

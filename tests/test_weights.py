@@ -1,11 +1,13 @@
 """Balanced weightings and the closed evaluation."""
 
+import collections
 import hashlib
 import random
 
 import pytest
 
-from conftest import half_weights
+from conftest import bench_gen, half_weights
+from m0nbar.cli import parse, to_boundary_product
 from m0nbar.errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBalanceGiven
 from m0nbar.intersect import BoundaryProduct, DecoratedTree, product_to_decorated
 from m0nbar.oracle import expansion_eval, random_decorated_tree, surviving_decompositions
@@ -149,6 +151,70 @@ class TestBalance:
                 evaluate(decorated).value,
             )).encode() + b"\n")
         assert digest.hexdigest() == PINNED_PEELS
+
+
+def cut_halves(decorated):
+    """Each edge's (parent half, child half) from the cut equations, or None.
+
+    The child half at vertex c is what c's dimension leaves after its psi
+    weights and the parent halves of the edges below it; summed over the
+    subtree of c, that is the cut equation of the edge above c.  A child is
+    numbered above its parent, so walking the vertices from the highest
+    number down fixes the edges below c before c.  None unless every child
+    half lies in [0, k].
+    """
+    tree = decorated.tree
+    need = [dim - sum(w for _, w in pairs) for dim, pairs in zip(tree.dims, decorated.vertex_psi)]
+    weights = list(decorated.edge_weight.values())
+    above = [None] * tree.num_vertices  # each vertex's parent edge
+    for i, (p, c) in enumerate(tree.ends):
+        assert p < c
+        above[c] = i
+    halves = [None] * len(weights)
+    for c in range(tree.num_vertices - 1, 0, -1):
+        i = above[c]
+        k = weights[i]
+        halves[i] = (k - need[c], need[c])
+        need[tree.ends[i][0]] -= k - need[c]
+    if all(0 <= hc <= k for (_, hc), k in zip(halves, weights)):
+        return halves
+    return None
+
+
+class TestCutEquations:
+    # the balanced weighting is the cut equations' one solution, so balance
+    # is checked without the expansion oracle's budget at every n
+
+    @staticmethod
+    def agree(decorated):
+        halves = cut_halves(decorated)
+        weighting = balance(decorated)
+        assert (None if weighting is None else weighting.halves) == halves, decorated
+        return "no_balance" if halves is None else "ok"
+
+    def test_random_decorated_trees(self):
+        rng = random.Random(53)
+        reasons = collections.Counter(
+            self.agree(random_decorated_tree(n, rng)) for n in range(4, 31) for _ in range(150)
+        )
+        assert reasons == {"ok": 816, "no_balance": 3234}
+
+    def test_generated_strata_and_batch_products(self):
+        # bench/gen.py's large strata and small products, whose reasons the
+        # generator certifies without m0nbar
+        gen = bench_gen()
+        strata = [inst for variant in (0, 1) for inst in gen.stratum_large(variant)]
+        batch = [inst for inst in gen.batch_small(3, 400) if inst.reason != "empty"]
+        for instances, counts in ((strata, {"ok": 30, "no_balance": 20}),
+                                  (batch, {"ok": 200, "no_balance": 100})):
+            reasons = collections.Counter()
+            for inst in instances:
+                decorated = product_to_decorated(to_boundary_product(parse(inst.text, inst.n)))
+                reason = self.agree(decorated)
+                assert reason == inst.reason, inst.key
+                reasons[reason] += 1
+            assert reasons == counts
+        assert max(inst.n for inst in strata) == 2000
 
 
 class TestEvaluate:
