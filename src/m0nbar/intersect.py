@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import collections
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -29,6 +29,7 @@ from .trees import (
     MarkedSet,
     Split,
     StableTree,
+    _same_ground,
     splits_of_links,
     tree_from_splits,
 )
@@ -64,8 +65,7 @@ def compatible(s1: Split, s2: Split) -> bool:
     disjoint.  Canonical blocks avoid the smallest label, so this is the
     nested-or-disjoint test ``_blocks_meet`` makes on the two block masks.
     """
-    if s1.ground != s2.ground:
-        raise GroundMismatch("splits live on different ground sets")
+    _same_ground("splits", s1.ground, s2.ground)
     return _blocks_meet((s1.block_mask,), (s2.block_mask,))
 
 
@@ -98,8 +98,7 @@ def color_for_divisor(tree: StableTree, divisor: Split) -> Coloring:
     Raises EdgeConditionFails naming a witness edge when the divisor is
     incompatible with the tree.
     """
-    if tree.ground != divisor.ground:
-        raise GroundMismatch("tree and divisor live on different ground sets")
+    _same_ground("tree and divisor", tree.ground, divisor.ground)
     x = divisor.block_mask
     edge_colors: dict[Split, str] = {}
     vertex = 0
@@ -172,8 +171,7 @@ def meet_divisor(tree: StableTree, divisor: Split) -> MeetResult:
     divisor; otherwise the stratum whose split system is the union (the
     tree itself when the divisor is already one of its edges).
     """
-    if tree.ground != divisor.ground:
-        raise GroundMismatch("tree and divisor live on different ground sets")
+    _same_ground("tree and divisor", tree.ground, divisor.ground)
     if divisor in tree.edges:
         return tree
     return _meet(tree.ground, (*tree.edges, divisor))
@@ -187,12 +185,9 @@ def meet_all(trees: Sequence[StableTree]) -> MeetResult:
     """
     if not trees:
         raise ValueError("meet_all needs at least one stratum")
-    ground = trees[0].ground
-    for t in trees:
-        if t.ground != ground:
-            raise GroundMismatch("strata live on different ground sets")
+    _same_ground("strata", *(t.ground for t in trees))
     # tree_from_splits drops the repeated edges
-    return _meet(ground, [e for t in trees for e in t.edges])
+    return _meet(trees[0].ground, [e for t in trees for e in t.edges])
 
 
 def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
@@ -204,8 +199,7 @@ def flag_equivalence(t1: StableTree, t2: StableTree) -> bool:
     same predicate ``flag_certify`` runs on enumerated families.  meet_all
     on the pair agrees, and tests assert it.
     """
-    if t1.ground != t2.ground:
-        raise GroundMismatch("strata live on different ground sets")
+    _same_ground("strata", t1.ground, t2.ground)
     return _blocks_meet([e.block_mask for e in t1.edges], [e.block_mask for e in t2.edges])
 
 
@@ -319,6 +313,23 @@ def _require_dimension(decorated: DecoratedTree) -> None:
                                   f"but the stratum has dimension {decorated.tree.dim}")
 
 
+def _psi_parts(n: int, exponents: Mapping[int, int]) -> tuple[int, ...]:
+    # both psi integrals' argument rule, in this order; the positive exponents
+    # ascending are the string recursion's key and, as 0! = 1, multinomial's parts
+    if n < 3:
+        raise ValueError(f"need n >= 3 marked points, got {n}")
+    labels = sorted(exponents)
+    if labels and not (0 < labels[0] and labels[-1] <= n):
+        lab = next(lab for lab in exponents if not 0 < lab <= n)  # the first in map order
+        raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
+    parts = sorted(filter(None, exponents.values()))
+    if parts and parts[0] < 0:
+        raise ValueError("psi exponents must be non-negative")
+    if sum(parts) != n - 3:
+        raise DegreeMismatch(f"psi degrees sum to {sum(parts)}, need n - 3 = {n - 3}")
+    return tuple(parts)
+
+
 DecorationResult = DecoratedTree | _EmptyIntersection
 
 
@@ -362,10 +373,7 @@ def strata_product_to_decorated(trees: Sequence[StableTree]) -> DecorationResult
         raise DegreeMismatch(
             f"codimensions sum to {total} != n - 3 = {n - 3} (n = {n})"
         )
-    # BoundaryProduct checks each edge's ground; a stratum with no edges
-    # is checked here
-    for t in trees:
-        if t.ground != ground:
-            raise GroundMismatch("strata live on different ground sets")
+    # BoundaryProduct checks each edge's ground, but not an edgeless stratum's
+    _same_ground("strata", ground, *(t.ground for t in trees))
     powers = collections.Counter(e for t in trees for e in t.edges)
     return product_to_decorated(BoundaryProduct(ground, powers, {}))

@@ -19,8 +19,8 @@ from collections.abc import Iterator, Mapping
 from functools import lru_cache
 
 from .combinat import multinomial
-from .errors import BudgetExceeded, DegreeMismatch, TooLarge
-from .intersect import DecoratedTree, _blocks_meet, _require_dimension
+from .errors import BudgetExceeded, TooLarge
+from .intersect import DecoratedTree, _blocks_meet, _psi_parts, _require_dimension
 from .trees import (
     MarkedSet,
     Split,
@@ -97,17 +97,11 @@ def string_eq_psi_integral(n: int, exponents: Mapping[int, int]) -> int:
     exponent zero and can be forgotten; doing so trades the integral for a
     sum over the positive exponents, each lowered by one in turn.  The base
     case n = 3 is a single point.  Agrees with the closed multinomial form,
-    which the check suites confirm exhaustively.
+    which the check suites confirm exhaustively.  Checked in order, as
+    ``integrate_psi_monomial`` checks: n >= 3 (ValueError), labels in 1..n
+    (LabelOutOfRange), exponents >= 0 (ValueError), sum n - 3 (DegreeMismatch).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 marked points, got {n}")
-    values = exponents.values()
-    if values and min(values) < 0:
-        raise ValueError("psi exponents must be non-negative")
-    total = sum(values)
-    if total != n - 3:
-        raise DegreeMismatch(f"psi degrees sum to {total}, need n - 3 = {n - 3}")
-    return _string_recursion(tuple(sorted(filter(None, values))))
+    return _string_recursion(_psi_parts(n, exponents))
 
 
 # Bounded: a check suite asks for the same few exponent multisets over and

@@ -439,10 +439,15 @@ def split_of_edge(tree: StableTree, edge: Split) -> Split:
     return splits_of_links(tree.ground, tree.ends, tree._leaf_at)[tree.edges.index(edge)]
 
 
+def _same_ground(what: str, ground: MarkedSet, *others: MarkedSet) -> None:
+    # the one check that operands share a ground set; `what` names them
+    if any(other != ground for other in others):
+        raise GroundMismatch(f"{what} live on different ground sets")
+
+
 def tree_equal(t1: StableTree, t2: StableTree) -> bool:
     """Canonical equality: same ground set and the same split system."""
-    if t1.ground != t2.ground:
-        raise GroundMismatch("trees live on different ground sets")
+    _same_ground("trees", t1.ground, t2.ground)
     return t1.edges == t2.edges
 
 

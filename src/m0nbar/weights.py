@@ -16,8 +16,8 @@ import math
 from collections.abc import Mapping
 
 from .combinat import factorial, multinomial
-from .errors import DegreeMismatch, LabelOutOfRange, NoBalanceGiven
-from .intersect import DecoratedTree, _require_dimension
+from .errors import NoBalanceGiven
+from .intersect import DecoratedTree, _psi_parts, _require_dimension
 
 
 class BalancedWeighting(collections.namedtuple("BalancedWeighting", "decorated halves")):
@@ -196,16 +196,8 @@ def _ratio(weighting: BalancedWeighting) -> int:
 def integrate_psi_monomial(n: int, exponents: Mapping[int, int]) -> int:
     """Top-degree psi-monomial integral on the n-pointed space.
 
-    Equals the multinomial coefficient (n-3; k_1, ..., k_n).  A label outside
-    1..n raises LabelOutOfRange, and the exponents must sum to n - 3, else
-    DegreeMismatch.
+    Equals the multinomial coefficient (n-3; k_1, ..., k_n).  Checked in order,
+    as ``string_eq_psi_integral`` checks: n >= 3 (ValueError), labels in 1..n
+    (LabelOutOfRange), exponents >= 0 (ValueError), sum n - 3 (DegreeMismatch).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 marked points, got {n}")
-    for lab in exponents:
-        if not 0 < lab <= n:
-            raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
-    total = sum(exponents.values())
-    if total != n - 3:
-        raise DegreeMismatch(f"psi degrees sum to {total}, need n - 3 = {n - 3}")
-    return multinomial(n - 3, tuple(exponents.values()))
+    return multinomial(n - 3, _psi_parts(n, exponents))

@@ -8,10 +8,14 @@ from m0nbar import (
     MarkedSet,
     Split,
     color_for_divisor,
+    compatible,
+    flag_equivalence,
     integrate_psi_monomial,
     make_split,
     meet_all,
     meet_divisor,
+    strata_product_to_decorated,
+    tree_equal,
     tree_from_splits,
 )
 from m0nbar.cli import main
@@ -35,6 +39,15 @@ RAISES = [
                  "tree and divisor live on different ground sets", id="meet-divisor-ground"),
     pytest.param(lambda: meet_all([T5, T6]), GroundMismatch,
                  "strata live on different ground sets", id="meet-all-ground"),
+    pytest.param(lambda: compatible(make_split(G5, {1, 2}), D6), GroundMismatch,
+                 "splits live on different ground sets", id="compatible-ground"),
+    pytest.param(lambda: flag_equivalence(T5, T6), GroundMismatch,
+                 "strata live on different ground sets", id="flag-equivalence-ground"),
+    # the codimensions fit the first stratum's n, so only the ground sets are wrong
+    pytest.param(lambda: strata_product_to_decorated([T5, T6]), GroundMismatch,
+                 "strata live on different ground sets", id="strata-product-ground"),
+    pytest.param(lambda: tree_equal(T5, T6), GroundMismatch,
+                 "trees live on different ground sets", id="tree-equal-ground"),
     pytest.param(lambda: BoundaryProduct(G5, {D6: 1}, {}), GroundMismatch,
                  "divisor 4,5,6|1,2,3 lives on a different ground set", id="product-ground"),
     pytest.param(lambda: meet_all([]), ValueError,

@@ -132,7 +132,8 @@ def restriction_value(points, divisors, psi, rng=None):
     when ``rng`` is given.
     """
     if not divisors:
-        return string_eq_psi_integral(len(points), psi)
+        # only the exponents matter, so the m points are named 1..m here
+        return string_eq_psi_integral(len(points), dict(enumerate(psi.values(), 1)))
     if rng is None:
         side = min(divisors, key=lambda s: min(len(s), len(points) - len(s)))
     else:

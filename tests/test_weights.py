@@ -8,9 +8,21 @@ import pytest
 
 from conftest import bench_gen, half_weights
 from m0nbar.cli import parse, to_boundary_product
-from m0nbar.errors import DegreeMismatch, DimensionUnbalanced, LabelOutOfRange, NoBalanceGiven
+from m0nbar.errors import (
+    DegreeMismatch,
+    DimensionUnbalanced,
+    LabelOutOfRange,
+    M0nbarError,
+    NoBalanceGiven,
+)
 from m0nbar.intersect import BoundaryProduct, DecoratedTree, product_to_decorated
-from m0nbar.oracle import expansion_eval, random_decorated_tree, surviving_decompositions
+from m0nbar.oracle import (
+    compositions,
+    expansion_eval,
+    random_decorated_tree,
+    string_eq_psi_integral,
+    surviving_decompositions,
+)
 from m0nbar.trees import MarkedSet, make_split, tree_from_splits
 from m0nbar.weights import balance, evaluate, evaluate_ratio, integrate_psi_monomial
 
@@ -352,6 +364,31 @@ class TestPsiIntegral:
             integrate_psi_monomial(5, {label: 2})
         with pytest.raises(LabelOutOfRange, match=f"label {label} is not in 1..5"):
             BoundaryProduct(MarkedSet.range(5), {}, {label: 2})
+        with pytest.raises(LabelOutOfRange, match=f"label {label} is not in 1..5"):
+            string_eq_psi_integral(5, {label: 2})
+
+    # maps on which the two integrals once disagreed, every valid map at
+    # n <= 7, then edge cases: n < 3, empty maps, zero exponents, labels out
+    # of order, and maps that break the rule in more than one way at once
+    PARITY = [
+        (4, {99: 1}), (4, {0: 1}), (5, {1: -1, 2: 3}), (5, {1: -1, 2: 2}),
+        *((n, dict(enumerate(vec, 1))) for n in range(3, 8) for vec in compositions(n - 3, n)),
+        (2, {}), (2, {9: -1}), (3, {}), (3, {1: 1}), (4, {}), (4, {1: 0}), (4, {5: 0}),
+        (5, {6: 1, 0: 1}), (5, {0: 1, 6: 1}), (5, {1: -1, 6: 3}), (5, {1: 1, 2: -1}),
+        (6, {1: -2, 2: 5}), (6, {1: 4}), (6, {3: 1, 1: 2}),
+    ]
+
+    def test_both_integrals_follow_one_rule(self):
+        # the same value, or the same error class with the same message
+        def outcome(integral, n, exps):
+            try:
+                return integral(n, exps)
+            except (ValueError, M0nbarError) as exc:
+                return type(exc), str(exc)
+
+        for n, exps in self.PARITY:
+            expected = outcome(integrate_psi_monomial, n, exps)
+            assert outcome(string_eq_psi_integral, n, exps) == expected, (n, exps)
 
 
 def test_empty_product_on_three_points_is_one():
