@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import collections
 import decimal
+import functools
 import gc
 import itertools
 import json
@@ -511,9 +512,11 @@ def _cmd_check(args) -> int:
     rng = random.Random(args.seed)  # one stream for every n of the expansion suite
 
     def expansion(n: int) -> tuple[int, int]:
+        # one Split per block for the row's draws: n = 8 has only 119 splits
+        split = functools.cache(functools.partial(Split, MarkedSet.range(n)))
         failures = 0
         for _ in range(_EXPANSION_TRIALS):
-            decorated = oracle.random_decorated_tree(n, rng)
+            decorated = oracle.random_decorated_tree(n, rng, split)
             result = evaluate(decorated)
             terms = oracle.surviving_decompositions(decorated)
             # the weighting evaluate read its value off is the one term, or none is

@@ -15,8 +15,8 @@ import itertools
 import operator
 import random
 from collections import Counter, namedtuple
-from collections.abc import Iterator, Mapping
-from functools import lru_cache
+from collections.abc import Callable, Iterator, Mapping
+from functools import lru_cache, partial
 
 from .combinat import multinomial
 from .errors import BudgetExceeded, TooLarge
@@ -26,7 +26,7 @@ from .trees import (
     Split,
     StableTree,
     _families,
-    splits_of_links,
+    _link_masks,
     tree_from_splits,
 )
 
@@ -234,12 +234,19 @@ def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
-def random_stable_tree(n: int, rng: random.Random) -> StableTree:
+def random_stable_tree(
+    n: int, rng: random.Random, split: Callable[[int], Split] | None = None
+) -> StableTree:
     """Random stable tree on 1..n grown by sequential leaf attachment.
 
     Each new leaf lands on an existing internal vertex, subdivides an
     internal edge, or splits off along a leaf edge; every stable tree shape
-    arises with positive probability.
+    arises with positive probability.  ``split`` builds each edge's Split
+    from its block mask on ``MarkedSet.range(n)``.  Without it every draw
+    builds fresh Splits; a caller drawing many trees at one n can pass one
+    ``functools.cache(functools.partial(Split, MarkedSet.range(n)))`` to all
+    of them, so an equal block is built once.  The factory reads no random
+    state, so the trees drawn are the same either way.
     """
     ground = MarkedSet.range(n)
     leaf_node = [0, 0, 0]  # label i's node at index i - 1
@@ -262,18 +269,23 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
             links.append((leaf_node[which], w))
             leaf_node[which] = w
         leaf_node.append(w)
-    return tree_from_splits(ground, splits_of_links(ground, links, leaf_node))
+    masks = _link_masks(links, leaf_node)
+    return tree_from_splits(ground, map(split or partial(Split, ground), masks))
 
 
-def random_decorated_tree(n: int, rng: random.Random) -> DecoratedTree:
+def random_decorated_tree(
+    n: int, rng: random.Random, split: Callable[[int], Split] | None = None
+) -> DecoratedTree:
     """Random decorated tree satisfying the dimension-balance identity.
 
     The stratum dimension is split between edge weights and psi weights on
     arbitrary leaves, one unit at a time.  A tree with no edges puts it all
     on psi weights; otherwise at least half the draws put all of it on
     edges, so a caller that wants pure divisor products skips the others.
+    The tree is ``random_stable_tree(n, rng, split)``: the optional split
+    factory shares Splits between draws without changing them.
     """
-    tree = random_stable_tree(n, rng)
+    tree = random_stable_tree(n, rng, split)
     budget = tree.dim
     edges = tree.edges
     psi_budget = 0

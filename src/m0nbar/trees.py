@@ -395,11 +395,18 @@ def splits_of_links(
     """The split each link of an abstract tree induces, in link order.
 
     The links join the nodes 0..len(links) into a tree, and ``leaf_node``
-    holds label i's node at index i - 1.  One walk from the node holding the
-    smallest label orders the nodes, and leaf masks gather bottom-up, so
-    each link's far side avoids that label: it is the canonical block.
-    A side with fewer than two labels raises UnstableSplit.
+    holds label i's node at index i - 1.  Each split is built from its
+    block's mask, read off by ``_link_masks``.  A side with fewer than two
+    labels raises UnstableSplit.
     """
+    return [Split(ground, m) for m in _link_masks(links, leaf_node)]
+
+
+def _link_masks(links: Sequence[tuple[int, int]], leaf_node: Sequence[int]) -> list[int]:
+    # The block mask of each link's split, in link order, for links and
+    # leaves as splits_of_links takes them.  One walk from the node holding
+    # the smallest label orders the nodes, and leaf masks gather bottom-up,
+    # so each link's far side avoids that label: it is the canonical block.
     at: list[list[int]] = [[] for _ in range(len(links) + 1)]
     for i, (a, b) in enumerate(links):
         at[a].append(i)
@@ -423,7 +430,7 @@ def splits_of_links(
         a, b = links[up[w]]
         mask[a if b == w else b] |= mask[w]
         block[up[w]] = mask[w]
-    return [Split(ground, m) for m in block]
+    return block
 
 
 def split_of_edge(tree: StableTree, edge: Split) -> Split:
@@ -468,34 +475,50 @@ def enumerate_stable_trees(n: int, codim: int | None = None) -> Iterator[StableT
 
 
 def _families(n: int, codim: int | None = None) -> Iterator[tuple[int, ...]]:
-    # The block masks of each stratum enumerate_stable_trees(n, codim)
-    # yields, in its order, for callers that need only split systems.  The
-    # guard is checked here, before the first family is asked for.
+    """The block masks of each stratum enumerate_stable_trees(n, codim) yields, in its order.
+
+    For callers that need only split systems.  The guard is checked here,
+    before the first family is asked for.  The families are every set of
+    blocks inside the ground set minus its smallest label, each of >= 2
+    labels, pairwise nested or disjoint: exactly the canonical split
+    systems of stable trees.  Each lists every maximal block followed by a
+    family strictly inside it.  Within one call the families inside a block
+    are listed once, the first time a collection of maximal blocks holds
+    it, and reused from then on, while the top level is a generator over
+    those collections, so the listing streams.  The lists live as long as
+    the generator: about 33 MiB at n = 9.
+    """
     if n > ENUMERATION_LIMIT:
         raise TooLarge(f"exhaustive enumeration is guarded at n <= {ENUMERATION_LIMIT}, got {n}")
-    families = _laminar_families(MarkedSet.range(n).full_mask & ~1)
+    space = MarkedSet.range(n).full_mask & ~1
+    headed: dict[int, list[tuple[int, ...]]] = {}
+    families = itertools.chain.from_iterable(
+        _refine(coll, headed) for coll in _disjoint_blocks(space, space))
     return families if codim is None else (f for f in families if len(f) == codim)
 
 
-def _laminar_families(space: int) -> Iterator[tuple[int, ...]]:
-    # Every family of blocks strictly inside `space`, each of >= 2 labels,
-    # pairwise nested or disjoint.  These are exactly the canonical split
-    # systems of stable trees when `space` is the ground set minus its
-    # smallest label.
-    for coll in _disjoint_blocks(space, space):
-        yield from _refine(coll)
+def _headed(block: int, headed: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    # Every family whose one maximal block is `block`: the block, then a
+    # family strictly inside it.  Listed on the first request and kept in
+    # `headed`, keyed by the block's mask.
+    families = headed.get(block)
+    if families is None:
+        families = headed[block] = [(block,) + inner for coll in _disjoint_blocks(block, block)
+                                    for inner in _refine(coll, headed)]
+    return families
 
 
-def _refine(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # Attach, independently inside each maximal block, a nested family.
+def _refine(blocks: tuple[int, ...], headed: dict[int, list[tuple[int, ...]]]
+            ) -> list[tuple[int, ...]]:
+    # Every family whose maximal blocks are `blocks`: independently inside
+    # each block, a nested family, the first block's choice varying slowest.
     if not blocks:
-        yield ()
-        return
-    head, tail = blocks[0], blocks[1:]
-    for inner in _laminar_families(head):
-        front = (head,) + inner
-        for rest in _refine(tail):
-            yield front + rest
+        return [()]
+    fronts = _headed(blocks[0], headed)
+    if len(blocks) == 1:
+        return fronts
+    rests = _refine(blocks[1:], headed)
+    return [front + rest for front in fronts for rest in rests]
 
 
 def _disjoint_blocks(avail: int, forbid: int) -> Iterator[tuple[int, ...]]:

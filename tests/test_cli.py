@@ -742,7 +742,7 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "10"]) == 2
 
     def test_counts(self, capsys):
-        for n, count in zip(range(4, 9), (4, 26, 236, 2752, 39208)):
+        for n, count in zip(range(4, 10), (4, 26, 236, 2752, 39208, 660032)):
             assert main(["enumerate", "--n", str(n), "--count-only"]) == 0
             assert capsys.readouterr() == (f"{count}\n", "")
 
@@ -849,6 +849,15 @@ class TestCheck:
         status, peak = traced_peak(lambda: main(argv))
         assert status == 0
         assert peak < 1 << 20
+
+    def test_enumeration_working_set_at_the_guard_is_under_64_mib(self, capsys):
+        # the enumerator lists the families inside each block once per call
+        # and keeps them until the listing ends: about 33 MiB at n = 9
+        argv = ["enumerate", "--n", "9", "--count-only"]
+        assert main(argv) == 0
+        status, peak = traced_peak(lambda: main(argv))
+        assert (status, capsys.readouterr()) == (0, ("660032\n" * 2, ""))
+        assert peak < 64 << 20
 
     def test_expansion_guard_stays_within_the_oracle_budget(self):
         # random_decorated_tree spends at most the stratum's dimension, at

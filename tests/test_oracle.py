@@ -1,5 +1,6 @@
 """The brute-force verifiers themselves."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -23,7 +24,7 @@ from m0nbar.oracle import (
     string_eq_psi_integral,
     surviving_decompositions,
 )
-from m0nbar.trees import MarkedSet, enumerate_stable_trees, make_split
+from m0nbar.trees import MarkedSet, Split, enumerate_stable_trees, make_split
 from m0nbar.weights import balance
 
 # sha256 of the seeded random_stable_tree / random_decorated_tree streams
@@ -272,6 +273,22 @@ class TestGenerators:
                     sorted(decorated.psi_weight.items()),
                 )).encode() + b"\n")
         assert digest.hexdigest() == PINNED_STREAMS
+
+    def test_a_shared_split_factory_keeps_the_streams(self):
+        # the pinned draws again, every seed through one cached factory per n
+        for n in (*range(3, 13), 20, 40):
+            split = functools.cache(functools.partial(Split, MarkedSet.range(n)))
+            held = {}
+            drawn = 0
+            for seed in range(50):
+                decorated = random_decorated_tree(n, random.Random(seed), split)
+                assert decorated == random_decorated_tree(n, random.Random(seed))
+                drawn += decorated.tree.codim
+                for e in decorated.tree.edges:
+                    assert held.setdefault(e.block_mask, e) is e
+            # an equal block drawn again is the Split the factory built first
+            assert len(held) == split.cache_info().currsize
+            assert n < 5 or drawn > len(held)
 
     def test_composition_count(self):
         for total, slots in ((3, 4), (5, 3), (0, 4)):

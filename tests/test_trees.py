@@ -22,6 +22,8 @@ from m0nbar.trees import (
     MarkedSet,
     Split,
     StableTree,
+    _disjoint_blocks,
+    _families,
     enumerate_stable_trees,
     make_split,
     ordered_splits,
@@ -445,3 +447,30 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(TooLarge):
             enumerate_stable_trees(10)
+
+    @staticmethod
+    def _laminar_families(space):
+        # the reference: every family of blocks strictly inside `space`,
+        # listed afresh each time a block heads a collection
+        for coll in _disjoint_blocks(space, space):
+            yield from TestEnumeration._refine(coll)
+
+    @staticmethod
+    def _refine(blocks):
+        if not blocks:
+            yield ()
+            return
+        head, tail = blocks[0], blocks[1:]
+        for inner in TestEnumeration._laminar_families(head):
+            front = (head,) + inner
+            for rest in TestEnumeration._refine(tail):
+                yield front + rest
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_families_are_the_reference_families(self, n):
+        # the same families in the same order, at every codimension and
+        # one past each end
+        everything = list(self._laminar_families(MarkedSet.range(n).full_mask & ~1))
+        for codim in (None, *range(-1, n - 1)):
+            expected = [f for f in everything if codim in (None, len(f))]
+            assert list(_families(n, codim)) == expected, codim
