@@ -51,7 +51,7 @@ from .intersect import (
     meet_divisor,
     product_to_decorated,
 )
-from .trees import MarkedSet, Split, _families, split_of_side, tree_from_splits
+from .trees import MarkedSet, Split, _families, ordered_splits, split_of_side, tree_from_splits
 from .weights import EvalResult, _ratio, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
@@ -281,9 +281,9 @@ def _split_decimal(value: int) -> decimal.Decimal:
 
 # One product's evaluation.  ``decorated`` is None when the strata do not
 # meet.  Every output format reads the tables these hold: the tree's
-# ``edges``, ``ends``, ``vertex_leaves`` and ``dims``, the decoration's
-# ``edge_weight`` and ``vertex_psi``, and the result's halves and factors,
-# which are empty when no balanced weighting exists.
+# ``edges``, ``ends`` and ``dims`` (text and dot also its ``vertex_leaves``),
+# the decoration's ``edge_weight`` and ``vertex_psi``, and the result's
+# halves and factors, which are empty when no balanced weighting exists.
 _Report = collections.namedtuple("_Report", "product decorated result")
 
 
@@ -489,17 +489,19 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(sum(1 for _ in families))
         return 0
-    ground = MarkedSet.range(args.n)
-    # each split is named once: the 39,208 strata at n = 8 list 246 splits;
-    # its block leads the entry, so sorted entries are in `edges` order
-    named: dict[int, tuple[tuple[int, ...], str]] = {}
+    # every canonical block of 1..n, named once and ranked in `edges` order,
+    # in tables indexed by mask: the even masks below 2^n, at most 2^(n - 1)
+    # of them under the guard
+    n = args.n
+    rank, name = [0] * (1 << n), [""] * (1 << n)
+    splits = ordered_splits(Split(MarkedSet.range(n), m) for m in range(2, 1 << n, 2)
+                            if 2 <= m.bit_count() <= n - 2)
+    for r, s in enumerate(splits):
+        rank[s.block_mask], name[s.block_mask] = r, str(s)
+    write = sys.stdout.write
     for family in families:
-        for m in family:
-            if m not in named:
-                s = Split(ground, m)
-                named[m] = (s.block, str(s))
-        shown = [name for _, name in sorted(map(named.__getitem__, family))]
-        print(" ; ".join(shown) if family else "(trivial stratum)")
+        line = " ; ".join(map(name.__getitem__, sorted(family, key=rank.__getitem__)))
+        write((line or "(trivial stratum)") + "\n")
     return 0
 
 

@@ -234,27 +234,41 @@ class StableTree:
 
     Every other field is a table in ``edges`` order or in vertex order.
     ``ends`` lists each edge's (parent, child), and privately label i's
-    vertex sits at index i - 1 of the leaf table; ``edges_at`` reads a
-    vertex's edges off ``ends``.  ``dims`` holds each vertex's dimension
-    (degree - 3) and ``vertex_leaves`` its leaves, so consumers zip them
-    with ``edges`` and ``vertices`` instead of looking edges up.
-    :func:`tree_from_splits` fills every field when it builds the tree;
-    none is filled later.  The ``enumerate`` command and ``flag_certify``,
-    which need only split systems, work on block masks and build no tree.
+    vertex sits at index i - 1 of the leaf table, the one table of where
+    the leaves hang; ``edges_at`` reads a vertex's edges off ``ends``.
+    ``dims`` holds each vertex's dimension (degree - 3), so consumers zip
+    it with ``edges`` and ``vertices`` instead of looking edges up.
+    :func:`tree_from_splits` fills these when it builds the tree.
+    ``vertex_leaves``, each vertex's leaves ascending, is a read-only view
+    of the leaf table: only the renderers and ``apply_coloring`` read it,
+    so its first read builds and keeps it, and evaluation never pays for
+    it.  The ``enumerate`` command and ``flag_certify``, which need only
+    split systems, work on block masks and build no tree.
 
     Instances are built by :func:`tree_from_splits`; treat them as
     immutable.
     """
 
-    __slots__ = ("ground", "edges", "ends", "dims", "vertex_leaves", "_leaf_at")
+    __slots__ = ("ground", "edges", "ends", "dims", "_leaf_at", "_vertex_leaves")
 
-    def __init__(self, ground, edges, ends, dims, vertex_leaves, leaf_at):
+    def __init__(self, ground, edges, ends, dims, leaf_at):
         self.ground = ground
         self.edges = edges
         self.ends = ends
         self.dims = dims
-        self.vertex_leaves = vertex_leaves
         self._leaf_at = leaf_at
+        self._vertex_leaves = None
+
+    @property
+    def vertex_leaves(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's leaves, ascending, in vertex order; read off the leaf table once."""
+        leaves = self._vertex_leaves
+        if leaves is None:
+            at: list[list[int]] = [[] for _ in range(len(self.edges) + 1)]
+            for lab, v in zip(self.ground.labels, self._leaf_at):
+                at[v].append(lab)
+            leaves = self._vertex_leaves = tuple(map(tuple, at))
+        return leaves
 
     @property
     def num_vertices(self) -> int:
@@ -315,15 +329,15 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     is at least as large as the current block, so in a laminar family the
     smallest one containing the current block owns all of its labels and is
     its parent.  So the block is placed iff all of its labels have one
-    owner, which costs one read and one write per label: the whole pass is
-    linear in the labels of the blocks.  Otherwise two owners differ and one
-    of them crosses the block.  At the end a label's owner is where its
-    leaf hangs.
+    owner.  One loop reads, checks and writes each label of the block, so
+    the whole pass is linear in the labels of the blocks.  When a label's
+    owner differs from the first label's, one of the two owners crosses
+    the block.  At the end a label's owner is where its leaf hangs.
 
     A depth-first walk from the root (children by smallest label) then
-    numbers the vertices, and the tree's ``ends``, leaf table, ``dims`` and
-    ``vertex_leaves`` are filled from the parents and owners before it is
-    returned.
+    numbers the vertices, and the tree's ``ends``, leaf table and ``dims``
+    are filled from the parents and owners before it is returned.
+    ``vertex_leaves`` is left for its first reader.
 
     Raises GroundMismatch for a split on another ground set, and
     IncompatibleSplits naming a crossing pair of the given splits when the
@@ -343,18 +357,17 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     for i in sorted(range(k), key=list(map(len, blocks)).__getitem__, reverse=True):
         labels = blocks[i]
         j = owner[labels[0]]
-        owners = operator.itemgetter(*labels)(owner)  # every block has >= 2 labels
-        if owners.count(j) != len(owners):
-            # `other` holds the first label exactly when it is j's ancestor
-            # (or the root): then j misses a label of the block and crosses
-            # it; otherwise `other` misses the first label, is no smaller
-            # than the block, and crosses it
-            other = next(o for o in owners if o != j)
-            crossing = j if other == k or labels[0] in blocks[other] else other
-            raise IncompatibleSplits(ordered[crossing], ordered[i])
-        up[i] = j
         for lab in labels:
+            other = owner[lab]
+            if other != j:
+                # `other` holds the first label exactly when it is j's
+                # ancestor (or the root): then j misses a label of the block
+                # and crosses it; otherwise `other` misses the first label,
+                # is no smaller than the block, and crosses it
+                crossing = j if other == k or labels[0] in blocks[other] else other
+                raise IncompatibleSplits(ordered[crossing], ordered[i])
             owner[lab] = i
+        up[i] = j
 
     # children by index, which is by smallest label
     kids: list[list[int]] = [[] for _ in range(k + 1)]
@@ -375,18 +388,16 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     # a list, since tuple() of a map has no length hint and would grow
     # through the tuple free lists
     leaf_at = list(map(vid.__getitem__, owner[1:]))
-    leaves_at: list[list[int]] = [[] for _ in walk]
-    for lab, v in zip(ground.labels, leaf_at):
-        leaves_at[v].append(lab)
-    leaves = tuple(map(tuple, leaves_at))
     # degree - 3: a block's vertex meets its parent edge, its children's
     # edges and its leaves; the root has no parent edge
-    dims = [len(kids[i]) + len(ls) - 2 for i, ls in zip(walk, leaves)]
+    dims = [len(kids[i]) - 2 for i in walk]
     dims[0] -= 1
+    for v in leaf_at:
+        dims[v] += 1
     # distinct splits whose sides both hold >= 2 labels give every vertex
     # degree >= 3, so no input reaches this
     assert min(dims) >= 0, "a vertex of the rebuilt tree has degree below 3"
-    return StableTree(ground, ordered, ends, tuple(dims), leaves, leaf_at)
+    return StableTree(ground, ordered, ends, tuple(dims), leaf_at)
 
 
 def splits_of_links(

@@ -446,6 +446,17 @@ def test_report_at_large_n_builds_no_mask():
     assert not hasattr(tree, "splits") and not hasattr(tree, "block_masks")
 
 
+def test_report_and_json_output_leave_the_leaf_view_unbuilt():
+    # evaluation and the json renderer read the leaf table; only text, dot
+    # and explain read the per-vertex leaf view, which dot's read fills
+    report = _report(parse(bushy_stratum().text, 2000))
+    _json_output(report)
+    tree = report.decorated.tree
+    assert report.result.reason == "ok" and tree._vertex_leaves is None
+    cli._dot_output(report)
+    assert tree._vertex_leaves is tree.vertex_leaves
+
+
 def test_json_output_matches_one_json_dumps():
     gen = bench_gen()
     tree = gen.bushy_tree(2000, random.Random("ladder:2000"))

@@ -48,6 +48,22 @@ def test_multinomial_rejects_negative_parts():
         multinomial(-2, [-2])
 
 
+def test_multinomial_of_top_zero_or_one_is_one():
+    assert multinomial(0, [0, 0, 0]) == 1
+    assert multinomial(1, [0, 1, 0]) == 1
+    assert multinomial(1, [1]) == 1
+
+
+def test_multinomial_checks_parts_at_top_zero_and_one():
+    # the shortcut for a top of 0 or 1 runs after the argument checks
+    with pytest.raises(ValueError):
+        multinomial(1, [2, -1])
+    with pytest.raises(PartsMismatch):
+        multinomial(1, [0, 0])
+    with pytest.raises(PartsMismatch):
+        multinomial(0, [1])
+
+
 def _positive_compositions(total):
     if total == 0:
         yield ()

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -44,6 +45,27 @@ def all_splits(ground):
         for side in itertools.combinations(ground.labels, size):
             out.append(make_split(ground, side))
     return sorted(set(out), key=lambda s: s.block)
+
+
+def reference_crossing_pair(ground, splits):
+    # tree_from_splits's owner pass as it stood with one owner tuple per
+    # block: the (first, second) pair it names for a crossing system, or
+    # None for a compatible one
+    ordered = ordered_splits(set(splits))
+    k = len(ordered)
+    blocks = [s.block for s in ordered]
+    owner = [k] * (ground.n + 1)
+    for i in sorted(range(k), key=[len(b) for b in blocks].__getitem__, reverse=True):
+        labels = blocks[i]
+        j = owner[labels[0]]
+        owners = operator.itemgetter(*labels)(owner)
+        if owners.count(j) != len(owners):
+            other = next(o for o in owners if o != j)
+            crossing = j if other == k or labels[0] in blocks[other] else other
+            return ordered[crossing], ordered[i]
+        for lab in labels:
+            owner[lab] = i
+    return None
 
 
 class TestSplit:
@@ -204,6 +226,42 @@ class TestReconstruction:
             first, second = raised.value.first, raised.value.second
             assert first in splits and second in splits and not compatible(first, second)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_named_pair_is_the_reference_pair_on_every_pair(self, n):
+        ground = MarkedSet.range(n)
+        for s, t in itertools.combinations(all_splits(ground), 2):
+            if not compatible(s, t):
+                with pytest.raises(IncompatibleSplits) as raised:
+                    tree_from_splits(ground, (t, s))
+                named = (raised.value.first, raised.value.second)
+                assert named == reference_crossing_pair(ground, (s, t))
+
+    def test_named_pair_is_the_reference_pair_in_large_systems(self):
+        # shuffled stable trees' splits plus one or two splits that cross an
+        # edge: each holds x of the edge's block, y outside it, and any other
+        # labels but 1 and z, a second label of the block.  A crossing split
+        # larger than some edges is placed before them, so the pass can find
+        # the crossing at a block whose labels have several owners
+        rng = random.Random(4)
+        for n in range(8, 41):
+            for extra in (1, 2):
+                t = random_stable_tree(n, rng)
+                if not t.edges:
+                    continue
+                splits = list(t.edges)
+                for _ in range(extra):
+                    block = rng.choice(t.edges).block
+                    x, z = rng.sample(block, 2)
+                    y = rng.choice(sorted(set(t.ground.labels[1:]) - set(block)))
+                    rest = [lab for lab in t.ground.labels[1:] if lab != z]
+                    side = {x, y, *rng.sample(rest, rng.randrange(len(rest)))}
+                    splits.append(make_split(t.ground, side))
+                rng.shuffle(splits)
+                with pytest.raises(IncompatibleSplits) as raised:
+                    tree_from_splits(t.ground, splits)
+                named = (raised.value.first, raised.value.second)
+                assert named == reference_crossing_pair(t.ground, splits)
+
     def test_interleaved_disjoint_blocks(self):
         # by lowest label {3,5} falls between {2,4,6} and {4,6}, yet {4,6}
         # hangs inside {2,4,6}, not beside {3,5}
@@ -295,16 +353,21 @@ TABLES = ("ends", "dims", "vertex_leaves", "_leaf_at")
 
 class TestTables:
     def test_filled_by_the_build(self, nine_point_tree):
-        # tree_from_splits returns every field filled, and the tables are
-        # every field besides the ground set and the edges
+        # tree_from_splits fills every field but the leaf view's slot, which
+        # the first read of vertex_leaves fills from the leaf table
         t = tree_from_splits(nine_point_tree.ground, reversed(nine_point_tree.edges))
-        assert StableTree.__slots__ == ("ground", "edges", *TABLES)
+        assert StableTree.__slots__ == ("ground", "edges", "ends", "dims", "_leaf_at",
+                                        "_vertex_leaves")
         assert all(hasattr(t, name) for name in StableTree.__slots__)
         # the block {2,3,5,6,7,8,9} holds {2,6,8} and {3,5,7,9}, which holds {3,9}
         assert t.ends == ((0, 1), (1, 2), (1, 3), (3, 4))
         assert t.dims == (0, 0, 1, 1, 0)
-        assert t.vertex_leaves == ((1, 4), (), (2, 6, 8), (5, 7), (3, 9))
         assert t._leaf_at == [0, 2, 4, 0, 3, 2, 3, 2, 4]
+        assert t._vertex_leaves is None
+        assert t.vertex_leaves == ((1, 4), (), (2, 6, 8), (5, 7), (3, 9))
+        assert t._vertex_leaves is t.vertex_leaves
+        with pytest.raises(AttributeError):
+            t.vertex_leaves = ()
 
     def test_no_edge_index_table(self):
         # edges_at reads ends; no per-vertex table of edge indices is kept
@@ -334,8 +397,9 @@ class TestTables:
 
 
 class TestLazyTables:
-    # no field is filled lazily: the build fills every one, and no later
-    # read, mask test or comparison fills or replaces one
+    # the build fills every table; only the leaf view's private slot is
+    # filled later, by a read of vertex_leaves, and no mask test or
+    # comparison fills or replaces a field
     def test_unread_by_edges_masks_and_comparisons(self, nine_point_tree):
         ground = MarkedSet.range(9)
         t = tree_from_splits(ground, nine_point_tree.edges)
