@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import collections
 import decimal
-import functools
 import gc
 import itertools
 import json
@@ -51,7 +50,8 @@ from .intersect import (
     meet_divisor,
     product_to_decorated,
 )
-from .trees import MarkedSet, Split, _families, ordered_splits, split_of_side, tree_from_splits
+from .trees import (MarkedSet, Split, _families, _split_table, ordered_splits, split_of_side,
+                    tree_from_splits)
 from .weights import EvalResult, _ratio, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
@@ -450,7 +450,8 @@ def _cmd_explain(args) -> int:
     decorated, result = report.decorated, report.result
     if decorated is not None:
         tree = decorated.tree
-        out.append(f"stratum has {tree.num_vertices} internal vertices:")
+        count = tree.num_vertices
+        out.append(f"stratum has {count} internal {'vertex' if count == 1 else 'vertices'}:")
         vertices = zip(tree.vertex_leaves, tree.dims, decorated.vertex_psi)
         for v, (leaves, dim, pairs) in enumerate(vertices):
             leaves = ",".join(map(str, leaves)) or "-"
@@ -490,13 +491,10 @@ def _cmd_enumerate(args) -> int:
         print(sum(1 for _ in families))
         return 0
     # every canonical block of 1..n, named once and ranked in `edges` order,
-    # in tables indexed by mask: the even masks below 2^n, at most 2^(n - 1)
-    # of them under the guard
+    # in lists indexed by mask
     n = args.n
     rank, name = [0] * (1 << n), [""] * (1 << n)
-    splits = ordered_splits(Split(MarkedSet.range(n), m) for m in range(2, 1 << n, 2)
-                            if 2 <= m.bit_count() <= n - 2)
-    for r, s in enumerate(splits):
+    for r, s in enumerate(ordered_splits(_split_table(n).values())):
         rank[s.block_mask], name[s.block_mask] = r, str(s)
     write = sys.stdout.write
     for family in families:
@@ -514,11 +512,9 @@ def _cmd_check(args) -> int:
     rng = random.Random(args.seed)  # one stream for every n of the expansion suite
 
     def expansion(n: int) -> tuple[int, int]:
-        # one Split per block for the row's draws: n = 8 has only 119 splits
-        split = functools.cache(functools.partial(Split, MarkedSet.range(n)))
         failures = 0
         for _ in range(_EXPANSION_TRIALS):
-            decorated = oracle.random_decorated_tree(n, rng, split)
+            decorated = oracle.random_decorated_tree(n, rng)
             result = evaluate(decorated)
             terms = oracle.surviving_decompositions(decorated)
             # the weighting evaluate read its value off is the one term, or none is

@@ -15,18 +15,20 @@ import itertools
 import operator
 import random
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from functools import lru_cache, partial
 
 from .combinat import multinomial
 from .errors import BudgetExceeded, TooLarge
 from .intersect import DecoratedTree, _blocks_meet, _psi_parts, _require_dimension
 from .trees import (
+    ENUMERATION_LIMIT,
     MarkedSet,
     Split,
     StableTree,
     _families,
     _link_masks,
+    _split_table,
     tree_from_splits,
 )
 
@@ -194,7 +196,7 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
             discrepancies.append((i, j))
     # the trees of the strata in a discrepancy, each built once
     ground = MarkedSet.range(n)
-    trees = {i: tree_from_splits(ground, [Split(ground, m) for m in strata[i]])
+    trees = {i: tree_from_splits(ground, map(_split_table(n).__getitem__, strata[i]))
              for i in {i for pair in discrepancies for i in pair}}
     return FlagReport(n, checked, tuple((trees[i], trees[j]) for i, j in discrepancies))
 
@@ -234,19 +236,15 @@ def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
-def random_stable_tree(
-    n: int, rng: random.Random, split: Callable[[int], Split] | None = None
-) -> StableTree:
+def random_stable_tree(n: int, rng: random.Random) -> StableTree:
     """Random stable tree on 1..n grown by sequential leaf attachment.
 
     Each new leaf lands on an existing internal vertex, subdivides an
     internal edge, or splits off along a leaf edge; every stable tree shape
-    arises with positive probability.  ``split`` builds each edge's Split
-    from its block mask on ``MarkedSet.range(n)``.  Without it every draw
-    builds fresh Splits; a caller drawing many trees at one n can pass one
-    ``functools.cache(functools.partial(Split, MarkedSet.range(n)))`` to all
-    of them, so an equal block is built once.  The factory reads no random
-    state, so the trees drawn are the same either way.
+    arises with positive probability.  Up to ``ENUMERATION_LIMIT`` labels,
+    each edge's Split comes from the one table of the splits of 1..n that
+    ``enumerate_stable_trees`` reads too, so draws share one Split per
+    block; above it each draw builds its own Splits.
     """
     ground = MarkedSet.range(n)
     leaf_node = [0, 0, 0]  # label i's node at index i - 1
@@ -269,23 +267,20 @@ def random_stable_tree(
             links.append((leaf_node[which], w))
             leaf_node[which] = w
         leaf_node.append(w)
-    masks = _link_masks(links, leaf_node)
-    return tree_from_splits(ground, map(split or partial(Split, ground), masks))
+    split = _split_table(n).__getitem__ if n <= ENUMERATION_LIMIT else partial(Split, ground)
+    return tree_from_splits(ground, map(split, _link_masks(links, leaf_node)))
 
 
-def random_decorated_tree(
-    n: int, rng: random.Random, split: Callable[[int], Split] | None = None
-) -> DecoratedTree:
+def random_decorated_tree(n: int, rng: random.Random) -> DecoratedTree:
     """Random decorated tree satisfying the dimension-balance identity.
 
     The stratum dimension is split between edge weights and psi weights on
     arbitrary leaves, one unit at a time.  A tree with no edges puts it all
     on psi weights; otherwise at least half the draws put all of it on
     edges, so a caller that wants pure divisor products skips the others.
-    The tree is ``random_stable_tree(n, rng, split)``: the optional split
-    factory shares Splits between draws without changing them.
+    The tree, Splits included, is drawn by ``random_stable_tree(n, rng)``.
     """
-    tree = random_stable_tree(n, rng, split)
+    tree = random_stable_tree(n, rng)
     budget = tree.dim
     edges = tree.edges
     psi_budget = 0

@@ -476,13 +476,22 @@ def enumerate_stable_trees(n: int, codim: int | None = None) -> Iterator[StableT
     are produced.  Guarded at n <= 9 so exhaustive verification stays at
     desk scale; larger n raises TooLarge.  Each tree is ``tree_from_splits``
     of one family of block masks, in the order the ``enumerate`` command
-    and ``flag_certify`` read the same families without building trees.
+    and ``flag_certify`` read the same families without building trees;
+    its Splits come from one shared table of every split of 1..n.
     """
     families = _families(n, codim)
     ground = MarkedSet.range(n)
-    # one Split per block, shared by every tree, so each block's labels are read once
-    split = functools.cache(functools.partial(Split, ground))
+    split = _split_table(n).__getitem__
     return (tree_from_splits(ground, map(split, family)) for family in families)
+
+
+@functools.lru_cache(maxsize=ENUMERATION_LIMIT)
+def _split_table(n: int) -> dict[int, Split]:
+    # Every canonical split of 1..n, keyed by block mask: the even masks with
+    # 2..n - 2 labels, 2^(n - 1) - n - 1 of them.  Built once per n, and only
+    # under the enumeration guard, where it holds at most 246 splits.
+    ground = MarkedSet.range(n)
+    return {m: Split(ground, m) for m in range(2, 1 << n, 2) if 2 <= m.bit_count() <= n - 2}
 
 
 def _families(n: int, codim: int | None = None) -> Iterator[tuple[int, ...]]:

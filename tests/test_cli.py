@@ -693,6 +693,12 @@ class TestExplain:
         assert "incompatible with edge" in out
         assert "value = 0 (empty intersection)" in out
 
+    def test_vertex_count_agrees_in_number(self, capsys):
+        assert main(["explain", "--n", "6", "psi1^3"]) == 0
+        assert "\nstratum has 1 internal vertex:\n" in capsys.readouterr().out
+        assert main(["explain", "--n", "6", "D{1,2} psi1^2"]) == 0
+        assert "\nstratum has 2 internal vertices:\n" in capsys.readouterr().out
+
     def test_no_balance_narration(self, capsys):
         assert main(["explain", "--n", "7", "D{1,2}^3 D{5,6,7}"]) == 0
         assert "value = 0 (no balanced weighting)" in capsys.readouterr().out

@@ -1,6 +1,5 @@
 """The brute-force verifiers themselves."""
 
-import functools
 import hashlib
 import itertools
 import math
@@ -24,7 +23,16 @@ from m0nbar.oracle import (
     string_eq_psi_integral,
     surviving_decompositions,
 )
-from m0nbar.trees import MarkedSet, Split, enumerate_stable_trees, make_split
+from m0nbar.cli import main
+from m0nbar.trees import (
+    ENUMERATION_LIMIT,
+    MarkedSet,
+    Split,
+    _split_table,
+    enumerate_stable_trees,
+    make_split,
+    tree_from_splits,
+)
 from m0nbar.weights import balance
 
 # sha256 of the seeded random_stable_tree / random_decorated_tree streams
@@ -274,21 +282,42 @@ class TestGenerators:
                 )).encode() + b"\n")
         assert digest.hexdigest() == PINNED_STREAMS
 
-    def test_a_shared_split_factory_keeps_the_streams(self):
-        # the pinned draws again, every seed through one cached factory per n
-        for n in (*range(3, 13), 20, 40):
-            split = functools.cache(functools.partial(Split, MarkedSet.range(n)))
+    def test_draws_at_small_n_share_the_table_splits(self):
+        # the pinned draws again up to the enumeration guard: each edge is the
+        # one table Split of its block, handed to every draw and to the
+        # enumerated trees, and a fresh Split of the block gives the same tree
+        for n in range(3, ENUMERATION_LIMIT + 1):
+            table = _split_table(n)
+            assert len(table) == 2 ** (n - 1) - n - 1
+            assert all(s.block_mask == m for m, s in table.items())
+            ground = MarkedSet.range(n)
             held = {}
             drawn = 0
             for seed in range(50):
-                decorated = random_decorated_tree(n, random.Random(seed), split)
-                assert decorated == random_decorated_tree(n, random.Random(seed))
-                drawn += decorated.tree.codim
-                for e in decorated.tree.edges:
-                    assert held.setdefault(e.block_mask, e) is e
-            # an equal block drawn again is the Split the factory built first
-            assert len(held) == split.cache_info().currsize
+                tree = random_decorated_tree(n, random.Random(seed)).tree
+                fresh = [Split(ground, e.block_mask) for e in tree.edges]
+                assert tree_from_splits(ground, fresh) == tree
+                drawn += tree.codim
+                for e in tree.edges:
+                    assert held.setdefault(e.block_mask, e) is e is table[e.block_mask]
             assert n < 5 or drawn > len(held)
+            # the first few thousand trees: all of them up to n = 6
+            for tree in itertools.islice(enumerate_stable_trees(n), 3000):
+                assert all(e is table[e.block_mask] for e in tree.edges)
+
+    def test_no_split_table_above_the_guard(self, capsys):
+        # enumeration refuses before a table is asked for, and larger draws
+        # build their own Splits
+        before = _split_table.cache_info()
+        with pytest.raises(TooLarge):
+            enumerate_stable_trees(ENUMERATION_LIMIT + 1)
+        assert main(["enumerate", "--n", str(ENUMERATION_LIMIT + 1)]) == 2
+        capsys.readouterr()
+        first = random_stable_tree(ENUMERATION_LIMIT + 3, random.Random(4))
+        again = random_stable_tree(ENUMERATION_LIMIT + 3, random.Random(4))
+        assert first == again and first.codim > 0
+        assert all(a is not b for a, b in zip(first.edges, again.edges))
+        assert _split_table.cache_info() == before
 
     def test_composition_count(self):
         for total, slots in ((3, 4), (5, 3), (0, 4)):

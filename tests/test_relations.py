@@ -6,13 +6,15 @@ classes as sums of divisors, and the restriction of a product to a
 boundary divisor, which is the product of two smaller spaces.  Each is
 checked here on exact values from ``evaluate``, so a wrong sign or factor
 shows up as a broken identity.  The dilaton equation and the closed form
-of a divisor's top self-intersection follow from these.
+of a divisor's top self-intersection follow from these.  So does the top
+power of kappa_1, whose integral is a Weil–Petersson volume.
 """
 
 import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from conftest import bench_gen
@@ -20,6 +22,7 @@ from conftest import bench_gen
 from m0nbar import (
     EMPTY,
     BoundaryProduct,
+    DecoratedTree,
     MarkedSet,
     enumerate_stable_trees,
     evaluate,
@@ -28,7 +31,12 @@ from m0nbar import (
     strata_product_to_decorated,
 )
 from m0nbar.cli import parse, to_boundary_product
-from m0nbar.oracle import random_decorated_tree, random_stable_tree, string_eq_psi_integral
+from m0nbar.oracle import (
+    compositions,
+    random_decorated_tree,
+    random_stable_tree,
+    string_eq_psi_integral,
+)
 
 PRIMES = (2, 3, 2**61 - 1)
 
@@ -363,3 +371,50 @@ class TestRestriction:
                 assert restriction_of(decorated, rng) == value, decorated
                 nonzero += value != 0
         assert nonzero >= 350
+
+
+def zograf_volumes(top):
+    """Zograf's Weil–Petersson volumes v_3..v_top of the genus-zero spaces.
+
+    v_3 = 1 and v_n = 1/2 sum_(i=1..n-3) i(n-i-2)/(n-1) C(n-4, i-1) C(n, i+1)
+    v_(i+2) v_(n-i) (Contemp. Math. 150, 1993), in exact arithmetic.
+    """
+    v = {3: Fraction(1)}
+    for n in range(4, top + 1):
+        v[n] = Fraction(1, 2) * sum(
+            Fraction(i * (n - i - 2), n - 1) * math.comb(n - 4, i - 1) * math.comb(n, i + 1)
+            * v[i + 2] * v[n - i]
+            for i in range(1, n - 2))
+    return v
+
+
+class TestCensus:
+    def test_kappa_power_is_the_volume_and_nonzero_products_are_counted(self):
+        # In genus zero kappa_1 = sum_i psi_i - sum_D D (Arbarello–Cornalba,
+        # J. Alg. Geom. 5, 1996), so expanding (sum psi - sum D)^(n-3) and
+        # integrating gives v_n.  A monomial whose divisors do not form a
+        # stratum is empty, so only the strata are visited: each edge to the
+        # power b = k + 1, where k is its edge weight, and each leaf to a psi
+        # exponent a, with the weights filling the stratum's dimension.  A
+        # product on a stratum is nonzero iff every vertex splits its dim
+        # over its dim + 3 slots with unique halves, C(2 dim + 2, dim) ways.
+        volumes = zograf_volumes(12)
+        assert [volumes[n] for n in range(8, 13)] == [
+            49946, 2648967, 193530835, 18634276859, 2286742481794]
+        for n, nonzero in zip(range(4, 8), (7, 70, 966, 17101)):
+            total = 0
+            reasons = Counter()
+            predicted = 0
+            for tree in enumerate_stable_trees(n):
+                predicted += math.prod(math.comb(2 * d + 2, d) for d in tree.dims)
+                for vec in compositions(tree.dim, tree.codim + n):
+                    ks, exps = vec[:tree.codim], vec[tree.codim:]
+                    result = evaluate(DecoratedTree(tree, dict(zip(tree.edges, ks)),
+                                                    dict(enumerate(exps, 1))))
+                    reasons[result.reason] += 1
+                    b = [k + 1 for k in ks]
+                    weight = math.factorial(n - 3) // math.prod(map(math.factorial, (*b, *exps)))
+                    total += (-1) ** sum(b) * weight * result.value
+            assert total == volumes[n]
+            assert reasons["ok"] == predicted == nonzero
+            assert reasons["empty"] == 0
