@@ -1,24 +1,25 @@
 """Independent brute-force verifiers.
 
 Nothing here consults the greedy balancing step: the expansion oracle
-enumerates every half-edge decomposition outright, the string-equation
-recursion reduces psi integrals one forgotten point at a time, and the
-flag certifier compares pairwise compatibility of strata against an
-enumeration-based search for a common coarsening.  Randomized instance
-generators for fuzzing live here too, so the check suites and the tests
-share one source of inputs.
+enumerates every half-edge decomposition outright and prices the survivors
+with ``math.comb`` and ``math.factorial``, never the evaluator's
+``combinat.multinomial``; the string-equation recursion reduces psi
+integrals one forgotten point at a time, and the flag certifier compares
+pairwise compatibility of strata against an enumeration-based search for a
+common coarsening.  Randomized instance generators for fuzzing live here
+too, so the check suites and the tests share one source of inputs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
 from functools import lru_cache, partial
 
-from .combinat import multinomial
 from .errors import BudgetExceeded, TooLarge
 from .intersect import DecoratedTree, _blocks_meet, _psi_parts, _require_dimension
 from .trees import (
@@ -42,10 +43,14 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[list, int]]
     Each edge weight k(e) is tried as every ordered pair (a, k(e)-a), the
     parent's half first; a tuple survives when the half-weights plus psi
     weights at each vertex total exactly the vertex dimension.  Returns
-    (halves, multinomial contribution) pairs, where ``halves`` lists each
-    edge's (parent half, child half) in ``tree.edges`` order, the table
-    ``BalancedWeighting.halves`` holds.  Balanced weightings are unique, so
-    the list is empty or holds the one ``weights.balance`` finds.
+    (halves, contribution) pairs, where ``halves`` lists each edge's
+    (parent half, child half) in ``tree.edges`` order, the table
+    ``BalancedWeighting.halves`` holds.  The contribution is the unsigned
+    product of one binomial C(k, a) per edge, by ``math.comb``, and one
+    multinomial per vertex, its dimension's factorial over the factorials
+    of the halves and psi weights there, by ``math.factorial``.  Balanced
+    weightings are unique, so the list is empty or holds the one
+    ``weights.balance`` finds.
     """
     _require_dimension(decorated)
     tree = decorated.tree
@@ -68,15 +73,15 @@ def surviving_decompositions(decorated: DecoratedTree) -> list[tuple[list, int]]
         if load != dims:
             continue
         halves = []
-        parts = [[] for _ in dims]
+        parts = [here.copy() for here in psi]
         contribution = 1
         for (p, c), k, a in zip(ends, weights, combo):
             halves.append((a, k - a))
             parts[p].append(a)
             parts[c].append(k - a)
-            contribution *= multinomial(k, (a, k - a))
-        for dim, halves_here, psi_here in zip(dims, parts, psi):
-            contribution *= multinomial(dim, halves_here + psi_here)
+            contribution *= math.comb(k, a)
+        for dim, here in zip(dims, parts):
+            contribution *= math.factorial(dim) // math.prod(map(math.factorial, here))
         out.append((halves, contribution))
     return out
 

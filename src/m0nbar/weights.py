@@ -167,13 +167,6 @@ def evaluate_ratio(decorated: DecoratedTree) -> int:
     weighting = balance(decorated)
     if weighting is None:
         raise NoBalanceGiven("no balanced weighting exists; the product is 0")
-    return _ratio(weighting)
-
-
-def _ratio(weighting: BalancedWeighting) -> int:
-    # evaluate_ratio over a weighting already found, so a caller holding
-    # evaluate()'s weighting checks the ratio without balancing again
-    decorated = weighting.decorated
     numerator = 1
     for dim in decorated.tree.dims:
         numerator *= factorial(dim)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_gen
-from m0nbar import cli, oracle, weights
+from m0nbar import cli, combinat, oracle, weights
 from m0nbar.cli import (
     _EXPANSION_TRIALS,
     _SPLIT_BITS,
@@ -908,6 +908,37 @@ class TestCheck:
                 for n, checked, failures in rows
             ) + "DISCREPANCIES FOUND\n"
         assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize("mutant, failing", [("multinomial", {6: 3}), ("sign", {7: 5, 8: 5})])
+    def test_expansion_suite_catches_a_wrong_value(self, mutant, failing, capsys, monkeypatch):
+        # mutants on the evaluator's side, with which the oracle shares
+        # nothing: every multinomial an m0nbar module calls by name doubles
+        # at a top of 3 or more with two or more nonzero parts, or the value
+        # flips sign at an odd total edge weight of 3 or more
+        if mutant == "multinomial":
+            real = combinat.multinomial
+
+            def doubled(top, parts):
+                parts = list(parts)
+                value = real(top, parts)
+                return 2 * value if top >= 3 and sum(p > 0 for p in parts) >= 2 else value
+
+            for name, module in list(sys.modules.items()):
+                if name.partition(".")[0] == "m0nbar" and hasattr(module, "multinomial"):
+                    monkeypatch.setattr(module, "multinomial", doubled)
+        else:
+            real = cli.evaluate
+
+            def flipped(decorated):
+                result = real(decorated)
+                k = sum(decorated.edge_weight.values())
+                return result._replace(value=-result.value) if k % 2 and k >= 3 else result
+
+            monkeypatch.setattr(cli, "evaluate", flipped)
+        argv = ["check", "--suite", "expansion", "--n-max", "8", "--format", "json"]
+        assert main(argv) == 4
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert {r["n"]: r["failures"] for r in rows if r["failures"]} == failing
 
     def test_expansion_suite_compares_the_halves(self, capsys, monkeypatch):
         # each surviving term with every edge's halves swapped keeps its

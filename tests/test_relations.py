@@ -418,3 +418,41 @@ class TestCensus:
             assert total == volumes[n]
             assert reasons["ok"] == predicted == nonzero
             assert reasons["empty"] == 0
+
+    def test_listed_products_are_the_nonzero_ones_with_their_halves(self):
+        # The criterion run backwards: at each vertex, every composition of
+        # its dim over its dim + 3 slots, its edge ends (in tree.ends order)
+        # and then its leaves.  Each edge takes its parent and child halves
+        # from its two ends and weighs their sum; each leaf's part is its psi
+        # exponent.  Every listed product is distinct, balances and has
+        # exactly the listed halves, so the balanced weighting is unique and
+        # is the one balance finds, at every product of every n <= 7.
+        for n, nonzero in zip(range(4, 8), (7, 70, 966, 17101)):
+            listed = set()
+            predicted = 0
+            for tree in enumerate_stable_trees(n):
+                predicted += math.prod(math.comb(2 * d + 2, d) for d in tree.dims)
+                slots = [[] for _ in tree.dims]
+                for i, (p, c) in enumerate(tree.ends):
+                    slots[p].append((i, 0))
+                    slots[c].append((i, 1))
+                for v, leaves in enumerate(tree.vertex_leaves):
+                    slots[v] += leaves
+                assert [len(s) for s in slots] == [d + 3 for d in tree.dims]
+                for combo in itertools.product(*(compositions(d, d + 3) for d in tree.dims)):
+                    halves = [[0, 0] for _ in tree.edges]
+                    psi = {}
+                    for here, parts in zip(slots, combo):
+                        for slot, part in zip(here, parts):
+                            if isinstance(slot, tuple):
+                                halves[slot[0]][slot[1]] = part
+                            else:
+                                psi[slot] = part
+                    weights = dict(zip(tree.edges, map(sum, halves)))
+                    product = (tree.edges, tuple(weights.values()), tuple(sorted(psi.items())))
+                    assert product not in listed
+                    listed.add(product)
+                    result = evaluate(DecoratedTree(tree, weights, psi))
+                    assert result.reason == "ok"
+                    assert result.weighting.halves == list(map(tuple, halves))
+            assert len(listed) == predicted == nonzero
