@@ -17,8 +17,9 @@ name the first violation of a factor that fails the match or a check.
 
 Exit codes: 0 success (a value of 0 is a success), 1 the reader closed
 standard output before the output was written, 2 parse or usage error,
-including input too large for this machine's memory, 3 degree mismatch,
-4 oracle discrepancy.
+including input too large for this machine's memory and every package
+error (M0nbarError) but DegreeMismatch, 3 degree mismatch, 4 oracle
+discrepancy.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ import re
 import sys
 
 from .combinat import multinomial
-from .errors import (
-    DegreeMismatch,
-    EdgeConditionFails,
-    LabelOutOfRange,
-    ParseError,
-    TooLarge,
-    UnstableSplit,
-)
+from .errors import DegreeMismatch, EdgeConditionFails, M0nbarError, ParseError, TooLarge
 from .intersect import (
     EMPTY,
     BoundaryProduct,
@@ -50,8 +44,8 @@ from .intersect import (
     meet_divisor,
     product_to_decorated,
 )
-from .trees import (MarkedSet, Split, _families, _split_table, ordered_splits, split_of_side,
-                    tree_from_splits)
+from .trees import (MarkedSet, Split, _families, _require_labels, _split_table, ordered_splits,
+                    split_of_side, tree_from_splits)
 from .weights import EvalResult, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
@@ -148,8 +142,7 @@ def _violation(text: str, pos: int, n: int) -> ParseError:
     side = None
     if text.startswith("psi", pos):
         label, pos = _nat(text, pos + 3, "a marked-point label after 'psi'")
-        if not 1 <= label <= n:
-            raise LabelOutOfRange(f"label {label} outside 1..{n}")
+        _require_labels(n, (label,))
     elif text.startswith("D", pos):
         side, pos = _block(text, pos + 1, n)
         if text.startswith("|", pos):
@@ -189,9 +182,7 @@ def _block(text: str, p: int, n: int) -> tuple[list[int], int]:
     ordered = sorted(labels)
     if len(set(ordered)) != len(ordered):
         raise ParseError(p, "duplicate label in block")
-    if ordered[0] < 1 or ordered[-1] > n:
-        lab = next(lab for lab in labels if not 1 <= lab <= n)
-        raise LabelOutOfRange(f"label {lab} outside 1..{n}")
+    _require_labels(n, labels)
     return ordered, q + 1
 
 
@@ -635,7 +626,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         try:
             return args.func(args)
-        except (ParseError, UnstableSplit, LabelOutOfRange, TooLarge, DegreeMismatch) as exc:
+        except M0nbarError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3 if isinstance(exc, DegreeMismatch) else 2
         except (MemoryError, OverflowError):

@@ -22,13 +22,13 @@ from .errors import (
     EdgeConditionFails,
     GroundMismatch,
     IncompatibleSplits,
-    LabelOutOfRange,
     NotInternalEdge,
 )
 from .trees import (
     MarkedSet,
     Split,
     StableTree,
+    _require_labels,
     _same_ground,
     splits_of_links,
     tree_from_splits,
@@ -227,11 +227,9 @@ class BoundaryProduct:
                 raise GroundMismatch(f"divisor {s} lives on a different ground set")
             if k < 1:
                 raise ValueError("divisor exponents must be >= 1")
-        n = ground.n
-        for lab, k in psi_powers.items():
-            if not 0 < operator.index(lab) <= n:
-                raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
-            if k < 1:
+        if psi_powers:
+            _require_labels(ground.n, list(map(operator.index, psi_powers)))
+            if min(psi_powers.values()) < 1:
                 raise ValueError("psi exponents must be >= 1")
         self.ground = ground
         self.divisor_powers = divisor_powers
@@ -275,17 +273,17 @@ class DecoratedTree:
         if weights and min(weights.values()) < 0:
             raise ValueError("edge weights must be >= 0")
         self.edge_weight = weights
+        leaf_at = tree._leaf_at
         psi: dict[int, int] = {}
         # labels ascend, and so do each vertex's leaves
         at: dict[int, list[tuple[int, int]]] = {}
-        for lab in sorted(psi_weight):
+        for lab in _require_labels(tree.ground.n, psi_weight):
             k = psi_weight[lab]
-            v = tree.leaf_vertex(lab)
             if k < 0:
                 raise ValueError("psi weights must be >= 0")
             if k:
                 psi[lab] = k
-                at.setdefault(v, []).append((lab, k))
+                at.setdefault(leaf_at[lab - 1], []).append((lab, k))
         self.psi_weight = psi
         self.vertex_psi = [()] * tree.num_vertices
         for v, pairs in at.items():
@@ -318,10 +316,7 @@ def _psi_parts(n: int, exponents: Mapping[int, int]) -> tuple[int, ...]:
     # ascending are the string recursion's key and, as 0! = 1, multinomial's parts
     if n < 3:
         raise ValueError(f"need n >= 3 marked points, got {n}")
-    labels = sorted(exponents)
-    if labels and not (0 < labels[0] and labels[-1] <= n):
-        lab = next(lab for lab in exponents if not 0 < lab <= n)  # the first in map order
-        raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
+    _require_labels(n, exponents)
     parts = sorted(filter(None, exponents.values()))
     if parts and parts[0] < 0:
         raise ValueError("psi exponents must be non-negative")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     GroundMismatch,
@@ -103,11 +103,10 @@ class MarkedSet:
 
     def mask_of(self, labels: Iterable[int]) -> int:
         """Bitmask of a label subset; labels outside 1..n raise LabelOutOfRange."""
+        labels = tuple(labels)  # read twice; a block is a tuple already, so no copy
+        _require_labels(self.n, labels)
         mask = 0
-        n = self.n
         for lab in labels:
-            if not 0 < lab <= n:
-                raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
             mask |= 1 << lab
         # label i is bit i - 1: shift once here instead of once per label
         return mask >> 1
@@ -133,9 +132,7 @@ class Split:
         n = ground.n
         if block_mask < 0 or block_mask >> n:
             raise LabelOutOfRange("block mask reaches outside the ground set")
-        size = block_mask.bit_count()
-        if not 2 <= size <= n - 2:
-            raise UnstableSplit(f"a split side has {size} of {n} marked points; both need >= 2")
+        _require_stable(block_mask.bit_count(), n)
         if block_mask & 1:
             raise ValueError("block contains the smallest label; use make_split")
         self.block_mask = block_mask
@@ -190,10 +187,7 @@ def make_split(ground: MarkedSet, side: Iterable[int]) -> Split:
     with fewer than two labels on either end raise UnstableSplit.
     """
     labels = sorted(set(map(operator.index, side)))
-    n = ground.n
-    if labels and not (labels[0] > 0 and labels[-1] <= n):
-        lab = labels[0] if labels[0] <= 0 else labels[-1]
-        raise LabelOutOfRange(f"label {lab} is not in 1..{n}")
+    _require_labels(ground.n, labels)
     return split_of_side(ground, labels)
 
 
@@ -203,10 +197,7 @@ def split_of_side(ground: MarkedSet, labels: list[int]) -> Split:
     A side holding the smallest label is replaced by its complement, read
     off the labels, so no mask is built.
     """
-    size = len(labels)
-    n = ground.n
-    if not 2 <= size <= n - 2:
-        raise UnstableSplit(f"a split side has {size} of {n} marked points; both need >= 2")
+    _require_stable(len(labels), ground.n)
     split = Split.__new__(Split)
     split._set(ground, _complement(labels, ground) if labels[0] == 1 else tuple(labels))
     return split
@@ -296,8 +287,7 @@ class StableTree:
 
     def leaf_vertex(self, label: int) -> int:
         """The internal vertex a leaf is attached to."""
-        if not 0 < label <= self.ground.n:
-            raise LabelOutOfRange(f"no leaf labeled {label}")
+        _require_labels(self.ground.n, (label,))
         return self._leaf_at[label - 1]
 
     def __eq__(self, other):
@@ -461,6 +451,23 @@ def _same_ground(what: str, ground: MarkedSet, *others: MarkedSet) -> None:
     # the one check that operands share a ground set; `what` names them
     if any(other != ground for other in others):
         raise GroundMismatch(f"{what} live on different ground sets")
+
+
+def _require_labels(n: int, labels: Collection[int]) -> list[int]:
+    # the one check that labels lie in 1..n, returning them ascending; an
+    # input that passes costs one sort, and the error names the first label
+    # outside, in the order given
+    ordered = sorted(labels)
+    if ordered and not (0 < ordered[0] and ordered[-1] <= n):
+        lab = next(lab for lab in labels if not 0 < lab <= n)
+        raise LabelOutOfRange(f"label {lab} outside 1..{n}")
+    return ordered
+
+
+def _require_stable(size: int, n: int) -> None:
+    # the one check that a split side of `size` labels leaves both sides >= 2
+    if not 2 <= size <= n - 2:
+        raise UnstableSplit(f"a split side has {size} of {n} marked points; both need >= 2")
 
 
 def tree_equal(t1: StableTree, t2: StableTree) -> bool:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_gen
-from m0nbar import cli, combinat, oracle, weights
+from m0nbar import cli, combinat, errors, oracle, weights
 from m0nbar.cli import (
     _EXPANSION_TRIALS,
     _SPLIT_BITS,
@@ -376,6 +376,33 @@ def test_error_exit_codes(argv, error, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", list(_subclasses(errors.M0nbarError)),
+                         ids=lambda error: error.__name__)
+def test_every_package_error_maps_to_an_exit_code(error, capsys, monkeypatch):
+    # main's one arm covers the whole hierarchy: exit 3 for a degree
+    # mismatch, exit 2 for every other class, the message on stderr
+    g5 = MarkedSet.range(5)
+    args = {
+        errors.IncompatibleSplits: (make_split(g5, {1, 3}), make_split(g5, {1, 2})),
+        errors.EdgeConditionFails: (make_split(g5, {1, 2}),),
+        errors.ParseError: (4, "expected a factor"),
+    }.get(error, ("raised on purpose",))
+    exc = error(*args)
+
+    def raising(expr):
+        raise exc
+
+    monkeypatch.setattr(cli, "_report", raising)
+    assert main(["eval", "--n", "5", "psi1 psi2"]) == (3 if error is DegreeMismatch else 2)
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
 
 
 @pytest.mark.parametrize("built_by", ["mask", "make_split"])
@@ -811,7 +838,7 @@ class TestCheck:
         assert len(calls) == 2 * _EXPANSION_TRIALS  # n = 4 and n = 5
 
     def test_expansion_suite_balances_once_per_trial(self, capsys, monkeypatch):
-        # the ratio check reuses the weighting evaluate() found
+        # each trial balances once, inside evaluate(); the oracle never calls balance
         calls = []
         balance = weights.balance
 

@@ -33,6 +33,19 @@ RAISES = [
                  "block mask reaches outside the ground set", id="split-mask-past-ground"),
     pytest.param(lambda: Split(G5, 0b10), UnstableSplit,
                  "a split side has 1 of 5 marked points; both need >= 2", id="split-one-label"),
+    # the label rule and the stability rule, one message each wherever they are checked
+    pytest.param(lambda: make_split(G5, {2, 9}), LabelOutOfRange,
+                 "label 9 outside 1..5", id="make-split-label"),
+    pytest.param(lambda: G5.mask_of([2, 9]), LabelOutOfRange,
+                 "label 9 outside 1..5", id="mask-of-label"),
+    pytest.param(lambda: BoundaryProduct(G5, {}, {9: 2}), LabelOutOfRange,
+                 "label 9 outside 1..5", id="product-psi-label"),
+    pytest.param(lambda: T5.leaf_vertex(9), LabelOutOfRange,
+                 "label 9 outside 1..5", id="leaf-vertex-label"),
+    pytest.param(lambda: DecoratedTree(T5, {}, {9: 1}), LabelOutOfRange,
+                 "label 9 outside 1..5", id="decorated-psi-label"),
+    pytest.param(lambda: make_split(G5, {1}), UnstableSplit,
+                 "a split side has 1 of 5 marked points; both need >= 2", id="make-split-one-label"),
     pytest.param(lambda: color_for_divisor(T5, D6), GroundMismatch,
                  "tree and divisor live on different ground sets", id="color-ground"),
     pytest.param(lambda: meet_divisor(T5, D6), GroundMismatch,

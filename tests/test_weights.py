@@ -360,11 +360,11 @@ class TestPsiIntegral:
     @pytest.mark.parametrize("label", [0, 6, 7])
     def test_label_outside_the_ground_set(self, label):
         # psi_7 does not exist on the 5-pointed space, as BoundaryProduct says
-        with pytest.raises(LabelOutOfRange, match=f"label {label} is not in 1..5"):
+        with pytest.raises(LabelOutOfRange, match=f"label {label} outside 1..5"):
             integrate_psi_monomial(5, {label: 2})
-        with pytest.raises(LabelOutOfRange, match=f"label {label} is not in 1..5"):
+        with pytest.raises(LabelOutOfRange, match=f"label {label} outside 1..5"):
             BoundaryProduct(MarkedSet.range(5), {}, {label: 2})
-        with pytest.raises(LabelOutOfRange, match=f"label {label} is not in 1..5"):
+        with pytest.raises(LabelOutOfRange, match=f"label {label} outside 1..5"):
             string_eq_psi_integral(5, {label: 2})
 
     # maps on which the two integrals once disagreed, every valid map at
