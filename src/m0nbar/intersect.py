@@ -28,9 +28,10 @@ from .trees import (
     MarkedSet,
     Split,
     StableTree,
+    _link_masks,
     _require_labels,
     _same_ground,
-    splits_of_links,
+    _tree_of_masks,
     tree_from_splits,
 )
 
@@ -128,9 +129,11 @@ def apply_coloring(coloring: Coloring) -> StableTree:
     When exactly one branch at the split vertex differs in color, the
     divisor is already an edge and the tree is returned unchanged.
     Otherwise the vertex is doubled: blue branches stay, red branches move
-    across a fresh edge.  The result's split system is read back off the
+    across a fresh edge.  The result's block masks are read back off the
     rebuilt incidence structure by traversal, which keeps this path
-    independent of plain split-set insertion.
+    independent of plain split-set insertion, and ``_tree_of_masks`` builds
+    the tree from them: up to the enumeration guard its Splits are the
+    shared table's, as in the enumerated and randomly drawn trees.
     """
     tree = coloring.tree
     v = coloring.split_vertex
@@ -154,7 +157,7 @@ def apply_coloring(coloring: Coloring) -> StableTree:
     for lab in tree.vertex_leaves[v]:
         if coloring.leaf_colors[lab] == RED:
             leaf_node[lab - 1] = fresh
-    return tree_from_splits(tree.ground, splits_of_links(tree.ground, links, leaf_node))
+    return _tree_of_masks(tree.ground, _link_masks(links, leaf_node))
 
 
 def _meet(ground: MarkedSet, splits: Iterable[Split]) -> MeetResult:

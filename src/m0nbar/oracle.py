@@ -18,20 +18,11 @@ import operator
 import random
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import BudgetExceeded, TooLarge
 from .intersect import DecoratedTree, _blocks_meet, _psi_parts, _require_dimension
-from .trees import (
-    ENUMERATION_LIMIT,
-    MarkedSet,
-    Split,
-    StableTree,
-    _families,
-    _link_masks,
-    _split_table,
-    tree_from_splits,
-)
+from .trees import MarkedSet, StableTree, _families, _link_masks, _tree_of_masks
 
 EXPANSION_BUDGET = 24
 FLAG_LIMIT = 7
@@ -201,7 +192,7 @@ def flag_certify(n: int, sample_limit: int | None = None, seed: int = 0) -> Flag
             discrepancies.append((i, j))
     # the trees of the strata in a discrepancy, each built once
     ground = MarkedSet.range(n)
-    trees = {i: tree_from_splits(ground, map(_split_table(n).__getitem__, strata[i]))
+    trees = {i: _tree_of_masks(ground, strata[i])
              for i in {i for pair in discrepancies for i in pair}}
     return FlagReport(n, checked, tuple((trees[i], trees[j]) for i, j in discrepancies))
 
@@ -246,10 +237,10 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
 
     Each new leaf lands on an existing internal vertex, subdivides an
     internal edge, or splits off along a leaf edge; every stable tree shape
-    arises with positive probability.  Up to ``ENUMERATION_LIMIT`` labels,
-    each edge's Split comes from the one table of the splits of 1..n that
-    ``enumerate_stable_trees`` reads too, so draws share one Split per
-    block; above it each draw builds its own Splits.
+    arises with positive probability.  The tree is ``_tree_of_masks`` of
+    the drawn links' block masks, as ``enumerate_stable_trees`` builds its
+    trees: up to ``ENUMERATION_LIMIT`` labels the draws share the table's
+    one Split per block, and above it each draw builds its own Splits.
     """
     ground = MarkedSet.range(n)
     leaf_node = [0, 0, 0]  # label i's node at index i - 1
@@ -272,8 +263,7 @@ def random_stable_tree(n: int, rng: random.Random) -> StableTree:
             links.append((leaf_node[which], w))
             leaf_node[which] = w
         leaf_node.append(w)
-    split = _split_table(n).__getitem__ if n <= ENUMERATION_LIMIT else partial(Split, ground)
-    return tree_from_splits(ground, map(split, _link_masks(links, leaf_node)))
+    return _tree_of_masks(ground, _link_masks(links, leaf_node))
 
 
 def random_decorated_tree(n: int, rng: random.Random) -> DecoratedTree:

@@ -390,24 +390,13 @@ def tree_from_splits(ground: MarkedSet, splits: Iterable[Split]) -> StableTree:
     return StableTree(ground, ordered, ends, tuple(dims), leaf_at)
 
 
-def splits_of_links(
-    ground: MarkedSet, links: Sequence[tuple[int, int]], leaf_node: Sequence[int]
-) -> list[Split]:
-    """The split each link of an abstract tree induces, in link order.
-
-    The links join the nodes 0..len(links) into a tree, and ``leaf_node``
-    holds label i's node at index i - 1.  Each split is built from its
-    block's mask, read off by ``_link_masks``.  A side with fewer than two
-    labels raises UnstableSplit.
-    """
-    return [Split(ground, m) for m in _link_masks(links, leaf_node)]
-
-
 def _link_masks(links: Sequence[tuple[int, int]], leaf_node: Sequence[int]) -> list[int]:
-    # The block mask of each link's split, in link order, for links and
-    # leaves as splits_of_links takes them.  One walk from the node holding
-    # the smallest label orders the nodes, and leaf masks gather bottom-up,
-    # so each link's far side avoids that label: it is the canonical block.
+    # The block mask of each link's split, in link order.  The links join
+    # the nodes 0..len(links) into a tree, and label i's node sits at index
+    # i - 1 of leaf_node.  One walk from the node holding the smallest label
+    # orders the nodes, and leaf masks gather bottom-up, so each link's far
+    # side avoids that label: it is the canonical block, which
+    # _tree_of_masks and split_of_edge turn into a Split.
     at: list[list[int]] = [[] for _ in range(len(links) + 1)]
     for i, (a, b) in enumerate(links):
         at[a].append(i)
@@ -437,14 +426,14 @@ def _link_masks(links: Sequence[tuple[int, int]], leaf_node: Sequence[int]) -> l
 def split_of_edge(tree: StableTree, edge: Split) -> Split:
     """Recompute the partition an internal edge induces, by traversal.
 
-    Reads the split back off the tree's links and leaf table with
-    splits_of_links, so it equals the stored split only if the rebuilt
-    incidence structure is right.  A split that is not an edge of the tree
-    raises NotInternalEdge.
+    Reads the edge's block mask back off the tree's links and leaf table
+    with ``_link_masks`` and builds a fresh Split of it, so the result
+    equals the stored split only if the rebuilt incidence structure is
+    right.  A split that is not an edge of the tree raises NotInternalEdge.
     """
     if edge not in tree.edges:
         raise NotInternalEdge(f"{edge} is not an internal edge of this tree")
-    return splits_of_links(tree.ground, tree.ends, tree._leaf_at)[tree.edges.index(edge)]
+    return Split(tree.ground, _link_masks(tree.ends, tree._leaf_at)[tree.edges.index(edge)])
 
 
 def _same_ground(what: str, ground: MarkedSet, *others: MarkedSet) -> None:
@@ -481,15 +470,30 @@ def enumerate_stable_trees(n: int, codim: int | None = None) -> Iterator[StableT
 
     With ``codim`` given, only trees with exactly that many internal edges
     are produced.  Guarded at n <= 9 so exhaustive verification stays at
-    desk scale; larger n raises TooLarge.  Each tree is ``tree_from_splits``
-    of one family of block masks, in the order the ``enumerate`` command
-    and ``flag_certify`` read the same families without building trees;
-    its Splits come from one shared table of every split of 1..n.
+    desk scale; larger n raises TooLarge.  Each tree is ``_tree_of_masks``
+    of one family of block masks, so its Splits are the shared table's;
+    the families come in the order the ``enumerate`` command and
+    ``flag_certify`` read them without building trees.
     """
     families = _families(n, codim)
     ground = MarkedSet.range(n)
-    split = _split_table(n).__getitem__
-    return (tree_from_splits(ground, map(split, family)) for family in families)
+    return (_tree_of_masks(ground, family) for family in families)
+
+
+def _tree_of_masks(ground: MarkedSet, masks: Sequence[int]) -> StableTree:
+    # tree_from_splits of the splits with these block masks, and the one
+    # place that chooses how they become Splits.  Up to the enumeration
+    # guard each Split is the shared table's, so every tree of a process
+    # holds one Split per block; above it, or when the table lacks a mask,
+    # each is a fresh Split, whose constructor says why a malformed mask has
+    # no split.
+    n = ground.n
+    table = _split_table(n) if n <= ENUMERATION_LIMIT else {}
+    try:
+        splits = list(map(table.__getitem__, masks))
+    except KeyError:
+        splits = [Split(ground, m) for m in masks]
+    return tree_from_splits(ground, splits)
 
 
 @functools.lru_cache(maxsize=ENUMERATION_LIMIT)

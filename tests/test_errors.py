@@ -3,10 +3,13 @@
 import pytest
 
 from m0nbar import (
+    RED,
     BoundaryProduct,
+    Coloring,
     DecoratedTree,
     MarkedSet,
     Split,
+    apply_coloring,
     color_for_divisor,
     compatible,
     flag_equivalence,
@@ -46,6 +49,12 @@ RAISES = [
                  "label 9 outside 1..5", id="decorated-psi-label"),
     pytest.param(lambda: make_split(G5, {1}), UnstableSplit,
                  "a split side has 1 of 5 marked points; both need >= 2", id="make-split-one-label"),
+    # an all-red coloring empties the split vertex: the fresh edge's block
+    # has no split, and Split, not the shared table, says why
+    pytest.param(lambda: apply_coloring(Coloring(T6, dict.fromkeys(T6.edges, RED),
+                                                 dict.fromkeys(G6.labels, RED), 0)),
+                 UnstableSplit, "a split side has 0 of 6 marked points; both need >= 2",
+                 id="apply-coloring-empty-side"),
     pytest.param(lambda: color_for_divisor(T5, D6), GroundMismatch,
                  "tree and divisor live on different ground sets", id="color-ground"),
     pytest.param(lambda: meet_divisor(T5, D6), GroundMismatch,

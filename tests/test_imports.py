@@ -1,10 +1,12 @@
-"""What each entry point imports, in a fresh interpreter.
+"""What each entry point imports, in a fresh interpreter, and what each module imports.
 
 A command's start-up is mostly imports, so the evaluation path must not
 load the oracle, nor the standard-library modules the package does not
-use.  The children run with -S, so no site hook preloads anything.
+use.  The children run with -S, so no site hook preloads anything.  Every
+module but the package's ``__init__`` reads each name it imports.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -115,3 +117,37 @@ def test_importing_the_main_module_runs_nothing():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def _names_read(tree):
+    # every name the module reads, quoted annotations included
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= _names_read(ast.parse(note.value, mode="eval"))
+    return read
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "m0nbar").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_top_level_import_is_read(path):
+    # __init__.py is left out: it imports names to re-export them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    unused = sorted(bound - _names_read(tree))
+    assert not unused, f"{path.name} imports names it never reads: {unused}"

@@ -258,6 +258,8 @@ class TestMeetDivisor:
                     assert (met is EMPTY) == (not meets)
                     if meets:
                         assert frozenset(met.edges) == frozenset(t.edges) | {d}
+                        # the coloring insertion, past the enumeration guard
+                        assert tree_equal(apply_coloring(color_for_divisor(t, d)), met)
         assert min(kinds.values()) > 50
 
 

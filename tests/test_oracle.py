@@ -12,7 +12,12 @@ import pytest
 from m0nbar import oracle
 from m0nbar.combinat import multinomial
 from m0nbar.errors import BudgetExceeded, DegreeMismatch, TooLarge
-from m0nbar.intersect import BoundaryProduct, product_to_decorated
+from m0nbar.intersect import (
+    BoundaryProduct,
+    apply_coloring,
+    color_for_divisor,
+    product_to_decorated,
+)
 from m0nbar.oracle import (
     _sampled_pairs,
     compositions,
@@ -301,13 +306,20 @@ class TestGenerators:
                 for e in tree.edges:
                     assert held.setdefault(e.block_mask, e) is e is table[e.block_mask]
             assert n < 5 or drawn > len(held)
-            # the first few thousand trees: all of them up to n = 6
+            # the first few thousand trees: all of them up to n = 6; each one
+            # with an edge is also rebuilt by inserting its last edge into
+            # the tree of the others, and apply_coloring reads the table too
             for tree in itertools.islice(enumerate_stable_trees(n), 3000):
                 assert all(e is table[e.block_mask] for e in tree.edges)
+                if tree.edges:
+                    rest = tree_from_splits(ground, tree.edges[:-1])
+                    again = apply_coloring(color_for_divisor(rest, tree.edges[-1]))
+                    assert again == tree
+                    assert all(e is table[e.block_mask] for e in again.edges)
 
     def test_no_split_table_above_the_guard(self, capsys):
         # enumeration refuses before a table is asked for, and larger draws
-        # build their own Splits
+        # and coloring insertions build their own Splits
         before = _split_table.cache_info()
         with pytest.raises(TooLarge):
             enumerate_stable_trees(ENUMERATION_LIMIT + 1)
@@ -317,6 +329,10 @@ class TestGenerators:
         again = random_stable_tree(ENUMERATION_LIMIT + 3, random.Random(4))
         assert first == again and first.codim > 0
         assert all(a is not b for a, b in zip(first.edges, again.edges))
+        rest = tree_from_splits(first.ground, first.edges[:-1])
+        colored = apply_coloring(color_for_divisor(rest, first.edges[-1]))
+        assert colored == first
+        assert all(a is not b for a, b in zip(first.edges, colored.edges))
         assert _split_table.cache_info() == before
 
     def test_composition_count(self):
