@@ -400,15 +400,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _coloring_steps(product: BoundaryProduct) -> list[str]:
-    # the product keeps each divisor once, at its first factor, and no X^0
-    divisors = list(product.divisor_powers)
-    if not divisors:
-        return []
-    # every edge of the growing tree, and every witness, is one of the divisors
-    name = {d: str(d) for d in divisors}
+def _coloring_steps(ground: MarkedSet, name: dict[Split, str]) -> list[str]:
+    # name: the product's divisors in factor order, each once, with their text
+    divisors = list(name)
     steps = ["assembling the stratum one divisor at a time:", f"  start with {name[divisors[0]]}"]
-    tree = tree_from_splits(product.ground, divisors[:1])
+    tree = tree_from_splits(ground, divisors[:1])
     for d in divisors[1:]:
         try:
             coloring = color_for_divisor(tree, d)
@@ -420,7 +416,7 @@ def _coloring_steps(product: BoundaryProduct) -> list[str]:
             )
             break
         colored = ", ".join(f"{name[e]}={coloring.edge_colors[e]}" for e in tree.edges)
-        blues = ",".join(map(str, d.block))  # the leaves in the divisor's block
+        blues = name[d].partition("|")[0]  # the leaves in the divisor's block
         steps.append(f"  insert {name[d]}: edge colors [{colored}]")
         steps.append(f"    blue leaves {{{blues}}}, split vertex v{coloring.split_vertex}")
         tree = meet_divisor(tree, d)
@@ -431,14 +427,16 @@ def _cmd_explain(args) -> int:
     expr = _read_expression(args)
     report = _report(expr)  # raises DegreeMismatch before any output
     product = report.product
+    # each divisor's text once: every edge or witness named below is a divisor
+    name = {d: str(d) for d in product.divisor_powers}
     out = [
         f"n = {args.n}",
         f"product: {render(expr)}",
         f"degree: {product.total_degree} (divisors {sum(product.divisor_powers.values())} "
         f"+ psi {sum(product.psi_powers.values())}), n - 3 = {args.n - 3}",
     ]
-    if args.coloring:
-        out += _coloring_steps(product)
+    if args.coloring and name:
+        out += _coloring_steps(product.ground, name)
     decorated, result = report.decorated, report.result
     if decorated is not None:
         tree = decorated.tree
@@ -454,12 +452,12 @@ def _cmd_explain(args) -> int:
         if trace:
             out.append("greedy balancing, peeling vertices with one unresolved edge:")
             for v, e, near, far in trace:
-                out.append(f"  peel v{v} along {e}: k(v{v})={near}, far half={far}")
+                out.append(f"  peel v{v} along {name[e]}: k(v{v})={near}, far half={far}")
         if result.weighting is not None:
             edges = zip(tree.edges, decorated.edge_weight.values(), result.weighting.halves,
                         result.edge_factors)
             for e, k, (hp, hc), f in edges:
-                out.append(f"edge {e}: ({k}; {hp},{hc}) -> {_digits(f)}")
+                out.append(f"edge {name[e]}: ({k}; {hp},{hc}) -> {_digits(f)}")
             for v, (dim, f) in enumerate(zip(tree.dims, result.vertex_factors)):
                 out.append(f"vertex v{v}: multinomial of dim {dim} -> {_digits(f)}")
         elif trace:

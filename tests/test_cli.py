@@ -713,6 +713,29 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "split vertex" in out
         assert "value = -36" in out
+        # a product with no divisor has no steps: --coloring adds nothing
+        assert main(["explain", "--coloring", "--n", "6", "psi1^3"]) == 0
+        out = capsys.readouterr().out
+        assert main(["explain", "--n", "6", "psi1^3"]) == 0
+        assert out == capsys.readouterr().out
+        assert "assembling" not in out
+
+    def test_names_each_divisor_once(self, capsys, monkeypatch):
+        # the steps, the peel and the edge lines share one block|complement
+        # text per divisor; EXAMPLE has 5 divisors
+        calls = []
+        to_text = Split.__str__
+
+        def counted(self):
+            calls.append(self)
+            return to_text(self)
+
+        monkeypatch.setattr(Split, "__str__", counted)
+        for command in (["explain", "--coloring"], ["explain"]):
+            calls.clear()
+            assert main([*command, "--n", "15", EXAMPLE]) == 0
+            assert "value = -36" in capsys.readouterr().out
+            assert len(calls) == 5
 
     def test_coloring_reports_empty(self, capsys):
         assert main(["explain", "--n", "5", "--coloring", "D{1,2} D{1,3}"]) == 0
