@@ -44,8 +44,8 @@ from .intersect import (
     meet_divisor,
     product_to_decorated,
 )
-from .trees import (MarkedSet, Split, _families, _require_labels, _split_table, ordered_splits,
-                    split_of_side, tree_from_splits)
+from .trees import (MarkedSet, Split, _complement, _families, _require_labels, _require_stable,
+                    _split_of_block, _split_table, ordered_splits, tree_from_splits)
 from .weights import EvalResult, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
@@ -83,11 +83,15 @@ def parse(text: str, n: int) -> Expression:
     Each factor and its separator are one match of _FACTOR; only the value
     checks run on its groups.  A divisor's labels, read by json's scanner
     and sorted, canonicalize it at once, so two spellings of one divisor
-    compare equal and no mask is built.  A factor that fails the match or a
-    check goes to _violation, which reads it step by step only to name the
-    first violation.  Raises ParseError with a position on grammar
-    violations, LabelOutOfRange for labels outside 1..n, and UnstableSplit
-    for a split with a side smaller than two.
+    compare equal and no mask is built.  A side holding label 1 is checked
+    and complemented by one set difference from 1..n: it holds distinct
+    labels of 1..n exactly when the difference has n - len(side) labels,
+    and the difference is the split's block.  Any other side is checked by
+    its set of labels and its smallest and largest.  A factor that fails
+    the match or a check goes to _violation, which reads it step by step
+    only to name the first violation.  Raises ParseError with a position
+    on grammar violations, LabelOutOfRange for labels outside 1..n, and
+    UnstableSplit for a split with a side smaller than two.
     """
     ground = MarkedSet.range(n)
     size = len(text)
@@ -112,7 +116,14 @@ def parse(text: str, n: int) -> Expression:
                 except (StopIteration, ValueError):  # an empty label, or a leading zero
                     payload = list(map(int, first.split(",")))
                 payload.sort()
-                valid = len(set(payload)) == len(payload) and payload[0] > 0 and payload[-1] <= n
+                if payload[0] == 1:
+                    # each repeated label and each label past n leaves the
+                    # complement, the canonical block, one label short
+                    block = _complement(payload, ground)
+                    valid = len(block) + len(payload) == n
+                else:
+                    block = tuple(payload)
+                    valid = len(set(block)) == len(block) and block[0] > 0 and block[-1] <= n
                 if second and valid:
                     # the two blocks hold each label of 1..n once between them
                     both = payload + list(map(int, second.split(",")))
@@ -123,7 +134,9 @@ def parse(text: str, n: int) -> Expression:
         if not valid:
             raise _violation(text, pos, n)
         if kind == "divisor":
-            payload = split_of_side(ground, payload)
+            # the side as written is what an unstable split's error counts
+            _require_stable(len(payload), n)
+            payload = _split_of_block(ground, block)
         factors.append((kind, payload, exponent))
         pos = m.end()
         if pos == size:
@@ -155,7 +168,7 @@ def _violation(text: str, pos: int, n: int) -> ParseError:
     if text.startswith("^", pos):
         pos = _nat(text, pos + 1, "an exponent")[1]
     if side is not None:
-        split_of_side(MarkedSet.range(n), side)
+        _require_stable(len(side), n)
     return ParseError(pos, "expected '*' or whitespace between factors")
 
 

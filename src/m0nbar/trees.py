@@ -44,9 +44,10 @@ class MarkedSet:
 
     ``labels`` is ``range(1, n + 1)``, and label ``i`` is bit ``i - 1`` of
     a mask.  The constructor accepts 1..n in any order and nothing else.
-    ``n`` is stored, since every Split reads it; ``full_mask`` is computed
-    on first use, so the ground set costs O(1) memory at any n.  Instances
-    are frozen: equality and the hash read ``labels`` alone.
+    ``n`` is stored, since every Split reads it; ``full_mask`` and the
+    private frozenset of the labels, which every complement is taken from,
+    are computed on first use, so the ground set costs O(1) memory at any
+    n.  Instances are frozen: equality and the hash read ``labels`` alone.
     """
 
     def __init__(self, labels: range):
@@ -86,10 +87,13 @@ class MarkedSet:
         return (1 << self.n) - 1
 
     @functools.cached_property
-    def _ints(self) -> list[int]:
-        # 0..n, built on first use: label tuples taken from it share their
-        # int objects instead of each allocating its own
-        return list(range(self.n + 1))
+    def _label_set(self) -> frozenset[int]:
+        # 1..n, built on first use: complements are differences from it, so
+        # their label tuples share its int objects.  The list allocates its
+        # n slots at once, so a ground set too large for memory fails there
+        # (MemoryError, or OverflowError past sys.maxsize) before the set
+        # grows toward it label by label.
+        return frozenset(list(self.labels))
 
     @classmethod
     @functools.lru_cache(maxsize=16)
@@ -170,36 +174,31 @@ class Split:
         return f"Split({self.ground!r}, block={self.block!r})"
 
 
-def _complement(labels: Sequence[int], ground: MarkedSet) -> tuple[int, ...]:
-    # labels: distinct labels of 1..n; one byte per label marks the rest
-    keep = bytearray(b"\x01") * (ground.n + 1)
-    keep[0] = 0
-    for lab in labels:
-        keep[lab] = 0
-    return tuple(itertools.compress(ground._ints, keep))
+def _complement(labels: Iterable[int], ground: MarkedSet) -> tuple[int, ...]:
+    # the labels of 1..n not among `labels`, ascending: one set difference,
+    # whose size parse also reads as the check of a side holding label 1
+    return tuple(sorted(ground._label_set.difference(labels)))
 
 
 def make_split(ground: MarkedSet, side: Iterable[int]) -> Split:
     """Canonical split with the given side.
 
     The stored block becomes whichever of side/complement avoids the
-    smallest label.  Labels outside 1..n raise LabelOutOfRange, and sides
-    with fewer than two labels on either end raise UnstableSplit.
+    smallest label: a side holding it is replaced by its complement, one
+    set difference from the ground's labels, so no mask is built.  Labels
+    outside 1..n raise LabelOutOfRange, and sides with fewer than two
+    labels on either end raise UnstableSplit.
     """
     labels = sorted(set(map(operator.index, side)))
     _require_labels(ground.n, labels)
-    return split_of_side(ground, labels)
-
-
-def split_of_side(ground: MarkedSet, labels: list[int]) -> Split:
-    """make_split for a side already checked: distinct labels of 1..n, ascending.
-
-    A side holding the smallest label is replaced by its complement, read
-    off the labels, so no mask is built.
-    """
     _require_stable(len(labels), ground.n)
+    return _split_of_block(ground, _complement(labels, ground) if labels[0] == 1 else tuple(labels))
+
+
+def _split_of_block(ground: MarkedSet, block: tuple[int, ...]) -> Split:
+    # the Split whose canonical block is `block`, a tuple already checked
     split = Split.__new__(Split)
-    split._set(ground, _complement(labels, ground) if labels[0] == 1 else tuple(labels))
+    split._set(ground, block)
     return split
 
 

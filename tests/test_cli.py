@@ -167,6 +167,13 @@ class TestParse:
         ("D{1,2", 5, ParseError, 5, "expected '}' or ','"),
         ("D{1x}", 5, ParseError, 3, "expected '}' or ','"),
         ("D{1,1,9}", 5, ParseError, 1, "duplicate label in block"),
+        # a side holding label 1 is checked by its complement: the duplicate
+        # and range verdicts still come first, then stability
+        ("D{1,1,1,1}", 5, ParseError, 1, "duplicate label in block"),
+        ("D{1,1,2}", 6, ParseError, 1, "duplicate label in block"),
+        ("D{1,2,9}", 5, LabelOutOfRange, None, "label 9 outside 1..5"),
+        ("D{1,2,3,4}", 5, UnstableSplit, None,
+         "a split side has 4 of 5 marked points; both need >= 2"),
         ("D{1,9}^x", 5, LabelOutOfRange, None, "label 9 outside 1..5"),
         ("D{1}^x", 5, ParseError, 5, "expected an exponent"),
         ("D{1,2}|3", 5, ParseError, 7, "expected '{'"),
@@ -1117,6 +1124,8 @@ def eval_in_600_mb(n, expr):
     [
         ("psi1", 3, "error: total degree 1 != n - 3"),
         ("psi1^99999997", 2, "error: out of memory"),
+        # the complement of a side holding label 1 needs the labels as a set
+        ("D{1,2}", 2, "error: out of memory"),
     ],
 )
 def test_huge_n_ends_in_an_exit_code(expr, code, message):
@@ -1138,6 +1147,8 @@ def test_huge_n_ends_in_an_exit_code(expr, code, message):
         # the degree matches, but no machine holds a list of 2^62 labels
         (2**62, f"psi1^{2**62 - 3}", 2, "error: out of memory"),
         (2**63, f"psi1^{2**63 - 3}", 2, "error: out of memory"),
+        (2**63, "D{1,2}", 2, "error: out of memory"),
+        (10**30, "D{1,2}", 2, "error: out of memory"),
     ],
 )
 def test_n_past_a_machine_word_ends_in_an_exit_code(n, expr, code, message):

@@ -71,7 +71,7 @@ class TestMarkedSet:
     def test_cached_values(self):
         ground = MarkedSet(range(1, 8))
         assert ground.full_mask == 0b1111111
-        assert ground._ints == list(range(8))
+        assert ground._label_set == frozenset(range(1, 8))
 
 
 class TestSplit:
