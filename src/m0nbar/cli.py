@@ -46,12 +46,14 @@ from .intersect import (
 )
 from .trees import (MarkedSet, Split, _complement, _families, _require_labels, _require_stable,
                     _split_of_block, _split_table, ordered_splits, tree_from_splits)
-from .weights import EvalResult, balance, evaluate
+from .weights import EvalResult, _price, balance, evaluate
 
 _NAT = re.compile(r"[0-9]+")
 # a factor and its separator: a psi label (group 1) or a divisor's blocks
-# (2, 3), the exponent (4), the separator (5) with its '*' (6).  A block is
-# any run of digits and commas; parse's scan refuses an empty label.
+# (2, 3), the exponent (4), the separator (5) with its '*' (6).  The
+# separator is empty only at the end of the text or where the factor runs
+# into the next.  A block is any run of digits and commas; parse's scan
+# refuses an empty label.
 _FACTOR = re.compile(
     r"(?:psi([0-9]+)|D\{([0-9,]+)\}(?:\|\{([0-9,]+)\})?)(?:\^([0-9]+))?(\s*(\*)?\s*)"
 )
@@ -80,18 +82,21 @@ class Expression(collections.namedtuple("Expression", "n factors")):
 def parse(text: str, n: int) -> Expression:
     """Parse an expression against the grammar above.
 
-    Each factor and its separator are one match of _FACTOR; only the value
-    checks run on its groups.  A divisor's labels, read by json's scanner
-    and sorted, canonicalize it at once, so two spellings of one divisor
-    compare equal and no mask is built.  A side holding label 1 is checked
-    and complemented by one set difference from 1..n: it holds distinct
-    labels of 1..n exactly when the difference has n - len(side) labels,
-    and the difference is the split's block.  Any other side is checked by
-    its set of labels and its smallest and largest.  A factor that fails
-    the match or a check goes to _violation, which reads it step by step
-    only to name the first violation.  Raises ParseError with a position
-    on grammar violations, LabelOutOfRange for labels outside 1..n, and
-    UnstableSplit for a split with a side smaller than two.
+    Each factor and its separator are one match of _FACTOR, whose groups
+    are read in one call; only the value checks run on them.  An empty
+    separator before the end of the text is a factor that runs into the
+    next.  A divisor's labels, read by json's scanner and sorted,
+    canonicalize it at once, so two spellings of one divisor compare equal
+    and no mask is built.  A side holding label 1 is checked and
+    complemented by one set difference from 1..n: it holds distinct labels
+    of 1..n exactly when the difference has n - len(side) labels, and the
+    difference is the split's block.  Any other side is checked by its set
+    of labels and its smallest and largest.  One call into trees makes the
+    Split of a checked block.  A factor that fails the match or a check
+    goes to _violation, which reads it step by step only to name the first
+    violation.  Raises ParseError with a position on grammar violations,
+    LabelOutOfRange for labels outside 1..n, and UnstableSplit for a split
+    with a side smaller than two.
     """
     ground = MarkedSet.range(n)
     size = len(text)
@@ -101,10 +106,12 @@ def parse(text: str, n: int) -> Expression:
         raise ParseError(pos, "expected a factor")
     while True:
         m = _FACTOR.match(text, pos)
-        # no factor here, or one that runs into the next
-        if m is None or m.end() < size and m.start(5) == m.end():
+        if m is None:
             raise _violation(text, pos, n)
-        psi, first, second, power = m.group(1, 2, 3, 4)
+        psi, first, second, power, separator, star = m.groups()
+        end = m.end()
+        if not separator and end < size:  # a factor that runs into the next
+            raise _violation(text, pos, n)
         try:
             if psi:
                 kind, payload = "psi", int(psi)
@@ -134,15 +141,16 @@ def parse(text: str, n: int) -> Expression:
         if not valid:
             raise _violation(text, pos, n)
         if kind == "divisor":
-            # the side as written is what an unstable split's error counts
-            _require_stable(len(payload), n)
+            if not 2 <= len(payload) <= n - 2:
+                # the side as written is what an unstable split's error counts
+                _require_stable(len(payload), n)
             payload = _split_of_block(ground, block)
         factors.append((kind, payload, exponent))
-        pos = m.end()
-        if pos == size:
-            if m.group(6):
+        if end == size:
+            if star:
                 raise ParseError(size, "expected a factor after '*'")
             return Expression(n, tuple(factors))
+        pos = end
 
 
 def _violation(text: str, pos: int, n: int) -> ParseError:
@@ -292,12 +300,13 @@ def _split_decimal(value: int) -> decimal.Decimal:
 _Report = collections.namedtuple("_Report", "product decorated result")
 
 
-def _report(expr: Expression) -> _Report:
+def _report(expr: Expression, trace: list | None = None) -> _Report:
+    # evaluate's steps, with balance's peel steps collected in trace if given
     product = to_boundary_product(expr)
     decorated = product_to_decorated(product)
     if decorated is EMPTY:
         return _Report(product, None, EvalResult.empty_intersection())
-    return _Report(product, decorated, evaluate(decorated))
+    return _Report(product, decorated, _price(decorated, balance(decorated, trace)))
 
 
 def _verdict(report: _Report) -> list[str]:
@@ -438,7 +447,8 @@ def _coloring_steps(ground: MarkedSet, name: dict[Split, str]) -> list[str]:
 
 def _cmd_explain(args) -> int:
     expr = _read_expression(args)
-    report = _report(expr)  # raises DegreeMismatch before any output
+    trace: list = []  # the peel steps of the balancing the report prices
+    report = _report(expr, trace)  # raises DegreeMismatch before any output
     product = report.product
     # each divisor's text once: every edge or witness named below is a divisor
     name = {d: str(d) for d in product.divisor_powers}
@@ -460,8 +470,6 @@ def _cmd_explain(args) -> int:
             leaves = ",".join(map(str, leaves)) or "-"
             psi = "".join(f", psi^{w} at leaf {lab}" for lab, w in pairs)
             out.append(f"  v{v}: leaves {{{leaves}}}, dim {dim}{psi}")
-        trace: list = []
-        balance(decorated, trace)
         if trace:
             out.append("greedy balancing, peeling vertices with one unresolved edge:")
             for v, e, near, far in trace:

@@ -139,13 +139,9 @@ class Split:
         _require_stable(block_mask.bit_count(), n)
         if block_mask & 1:
             raise ValueError("block contains the smallest label; use make_split")
+        # _split_of_block is the one function that sets a Split's fields
+        self.__dict__ = vars(_split_of_block(ground, ground.labels_of(block_mask)))
         self.block_mask = block_mask
-        self._set(ground, ground.labels_of(block_mask))
-
-    def _set(self, ground: MarkedSet, block: tuple[int, ...]) -> None:
-        self.ground = ground
-        self.block = block
-        self._hash = hash((ground.n, block))
 
     @functools.cached_property
     def block_mask(self) -> int:
@@ -196,9 +192,12 @@ def make_split(ground: MarkedSet, side: Iterable[int]) -> Split:
 
 
 def _split_of_block(ground: MarkedSet, block: tuple[int, ...]) -> Split:
-    # the Split whose canonical block is `block`, a tuple already checked
+    # the Split whose canonical block is `block`, a tuple already checked:
+    # the one place that sets a Split's fields, and so states its hash rule
     split = Split.__new__(Split)
-    split._set(ground, block)
+    split.ground = ground
+    split.block = block
+    split._hash = hash((ground.n, block))
     return split
 
 

@@ -129,7 +129,11 @@ def evaluate(decorated: DecoratedTree) -> EvalResult:
     vertex contributes the multinomial of its dimension into its psi
     weights and the halves at it, which ``tree.ends`` places.
     """
-    weighting = balance(decorated)
+    return _price(decorated, balance(decorated))
+
+
+def _price(decorated: DecoratedTree, weighting: BalancedWeighting | None) -> EvalResult:
+    # evaluate's result from the weighting balance returned for decorated
     edge_sum = sum(decorated.edge_weight.values())
     sign = -1 if edge_sum % 2 else 1
     if weighting is None:

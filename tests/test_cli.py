@@ -190,6 +190,8 @@ class TestParse:
         # a factor that reads in part: the first violation, not the separator
         ("D{1,2}^x", 5, ParseError, 7, "expected an exponent"),
         ("psi1^2psi2", 5, ParseError, 6, "expected '*' or whitespace between factors"),
+        ("D{1,2}^2D{3,4}", 5, ParseError, 8, "expected '*' or whitespace between factors"),
+        ("D{2,3}|{1,4,5}psi1", 5, ParseError, 14, "expected '*' or whitespace between factors"),
         ("psi1 *", 5, ParseError, 6, "expected a factor after '*'"),
         ("D{1,1}x", 5, ParseError, 1, "duplicate label in block"),
         pytest.param("psi9^" + "1" * 4400, 5, LabelOutOfRange, None,
@@ -198,6 +200,8 @@ class TestParse:
                      "a marked-point label after 'psi' has too many digits", id="long-psi-label"),
         pytest.param("psi1^" + "1" * 4400, 5, ParseError, 5,
                      "an exponent has too many digits", id="long-exponent"),
+        pytest.param("D{1,2}^" + "1" * 4400, 5, ParseError, 7,
+                     "an exponent has too many digits", id="long-divisor-exponent"),
         pytest.param("D{1,2}|{3," + "1" * 4400 + ",5}", 5, ParseError, 10,
                      "a label has too many digits", id="long-label-second-block"),
     ],
@@ -220,6 +224,7 @@ def test_parse_diagnostics(text, n, error, position, message):
         ("D{1,2}|{3,4,5}^2", 5, [("divisor", (3, 4, 5), 2)]),
         ("D{1,2}\u3000psi3", 5, [("divisor", (3, 4, 5), 1), ("psi", 3, 1)]),
         ("\tpsi1^2 *psi2\n", 6, [("psi", 1, 2), ("psi", 2, 1)]),
+        ("D{2,3}|{01,4,5}", 5, [("divisor", (2, 3), 1)]),
     ],
 )
 def test_parse_spellings(text, n, factors):
@@ -743,6 +748,22 @@ class TestExplain:
             assert main([*command, "--n", "15", EXAMPLE]) == 0
             assert "value = -36" in capsys.readouterr().out
             assert len(calls) == 5
+
+    def test_balances_once(self, capsys, monkeypatch):
+        # the peel lines trace the balancing whose weighting the value prices
+        calls = []
+        balance = weights.balance
+
+        def counted(decorated, trace=None):
+            calls.append(decorated)
+            return balance(decorated, trace)
+
+        monkeypatch.setattr(weights, "balance", counted)
+        monkeypatch.setattr(cli, "balance", counted)
+        assert main(["explain", "--coloring", "--n", "15", EXAMPLE]) == 0
+        out = capsys.readouterr().out
+        assert "peel v0" in out and "value = -36" in out
+        assert len(calls) == 1
 
     def test_coloring_reports_empty(self, capsys):
         assert main(["explain", "--n", "5", "--coloring", "D{1,2} D{1,3}"]) == 0
