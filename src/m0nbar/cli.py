@@ -28,7 +28,6 @@ import argparse
 import collections
 import decimal
 import gc
-import itertools
 import json
 import operator
 import os
@@ -64,7 +63,6 @@ _scan_json = json.JSONDecoder().scan_once
 # the expansion and string suites' guards, read only by _cmd_check's table
 _EXPANSION_LIMIT = 8
 _STRING_LIMIT = 10
-_STRING_CHUNK = 256  # cases the string suite holds at once
 _FLAG_SAMPLE = 100_000
 _EXPANSION_TRIALS = 300
 
@@ -535,16 +533,17 @@ def _cmd_check(args) -> int:
         return _EXPANSION_TRIALS, failures
 
     def string(n: int) -> tuple[int, int]:
-        # the cases go in chunks of a fixed size: a list of all of them grows
-        # with n (11,440 at the guard), and pulling one case at a time from
-        # the generator between checks runs about 3% slower
-        cases = oracle.compositions(n - 3, n)
-        integral = oracle.string_eq_psi_integral
+        # the reference depends only on the multiset of exponents (at most 15
+        # per row), so it runs once per multiset; multinomial runs on every
+        # composition as the generator makes it, so no list of them is kept
+        reference: dict[tuple[int, ...], int] = {}
         checked = failures = 0
-        while chunk := list(itertools.islice(cases, _STRING_CHUNK)):
-            checked += len(chunk)
-            failures += sum(integral(n, dict(enumerate(vec, 1))) != multinomial(n - 3, vec)
-                            for vec in chunk)
+        for vec in oracle.compositions(n - 3, n):
+            key = tuple(sorted(vec))
+            if key not in reference:
+                reference[key] = oracle.string_eq_psi_integral(n, dict(enumerate(vec, 1)))
+            checked += 1
+            failures += reference[key] != multinomial(n - 3, vec)
         return checked, failures
 
     def flag(n: int) -> tuple[int, int]:

@@ -102,8 +102,10 @@ def string_eq_psi_integral(n: int, exponents: Mapping[int, int]) -> int:
     return _string_recursion(_psi_parts(n, exponents))
 
 
-# Bounded: a check suite asks for the same few exponent multisets over and
-# over, while the states inside one evaluation live only as long as it.
+# Bounded: the string suite asks once per exponent multiset in a row, but
+# repeated check runs in one process, and callers that pass every
+# composition, ask for the same few again; the states inside one evaluation
+# live only as long as it.
 @lru_cache(maxsize=256)
 def _string_recursion(root: tuple[int, ...]) -> int:
     # Depth-first with an explicit stack: a state (the sorted positive

@@ -865,6 +865,13 @@ class TestEnumerate:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def patch_multinomial(monkeypatch, fake):
+    # every m0nbar module that names multinomial calls the fake
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "m0nbar" and hasattr(module, "multinomial"):
+            monkeypatch.setattr(module, "multinomial", fake)
+
+
 class TestCheck:
     def test_string_suite(self, capsys):
         assert main(["check", "--suite", "string", "--n-max", "6"]) == 0
@@ -1001,9 +1008,7 @@ class TestCheck:
                 value = real(top, parts)
                 return 2 * value if top >= 3 and sum(p > 0 for p in parts) >= 2 else value
 
-            for name, module in list(sys.modules.items()):
-                if name.partition(".")[0] == "m0nbar" and hasattr(module, "multinomial"):
-                    monkeypatch.setattr(module, "multinomial", doubled)
+            patch_multinomial(monkeypatch, doubled)
         else:
             real = cli.evaluate
 
@@ -1014,6 +1019,53 @@ class TestCheck:
 
             monkeypatch.setattr(cli, "evaluate", flipped)
         argv = ["check", "--suite", "expansion", "--n-max", "8", "--format", "json"]
+        assert main(argv) == 4
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert {r["n"]: r["failures"] for r in rows if r["failures"]} == failing
+
+    def test_string_reference_runs_once_per_multiset(self, capsys, monkeypatch):
+        # the reference depends only on the sorted exponents: one call per
+        # partition of n - 3 into at most n parts, sum of p(k) for k = 0..7
+        # is 45, against 15,521 compositions
+        calls = []
+        real = oracle.string_eq_psi_integral
+
+        def counted(n, exponents):
+            calls.append((n, exponents))
+            return real(n, exponents)
+
+        monkeypatch.setattr(oracle, "string_eq_psi_integral", counted)
+        assert main(["check", "--suite", "string", "--n-max", "10"]) == 0
+        assert len(calls) == 45
+        lines = CHECK_ALL_TEXT.splitlines(keepends=True)
+        rows = "".join(line for line in lines if line.startswith("string "))
+        assert capsys.readouterr() == (rows + "all checks passed\n", "")
+
+    @pytest.mark.parametrize("mutant, failing", [
+        # +1 when the last part passed is 2 or more: the compositions of
+        # n - 5 into n slots, C(2n - 6, n - 1) of them, so a suite that
+        # compared one arrangement per multiset would count fewer
+        ("last-part", {5: 1, 6: 6, 7: 28, 8: 120, 9: 495, 10: 2002}),
+        # `if p > 1:` becomes `if p > 2:` in multinomial's loop: at a top of
+        # 2 or more with three or more parts, each part of 2 except the
+        # largest part is left undivided by 2!, so the value doubles per such
+        # part; of the check suites only this one catches it
+        ("skip-2", {7: 21, 8: 224, 9: 1416, 10: 7050}),
+    ])
+    def test_string_suite_compares_every_arrangement(self, mutant, failing, capsys, monkeypatch):
+        real = combinat.multinomial
+
+        def wrong(top, parts):
+            parts = list(parts)
+            value = real(top, parts)
+            if mutant == "last-part":
+                return value + 1 if parts and parts[-1] >= 2 else value
+            if top < 2 or len(parts) < 3:
+                return value
+            return value << sorted(parts)[:-1].count(2)
+
+        patch_multinomial(monkeypatch, wrong)
+        argv = ["check", "--suite", "string", "--n-max", "10", "--format", "json"]
         assert main(argv) == 4
         rows = json.loads(capsys.readouterr().out)["results"]
         assert {r["n"]: r["failures"] for r in rows if r["failures"]} == failing
