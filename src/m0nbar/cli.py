@@ -36,13 +36,7 @@ import sys
 
 from .combinat import multinomial
 from .errors import DegreeMismatch, EdgeConditionFails, M0nbarError, ParseError, TooLarge
-from .intersect import (
-    EMPTY,
-    BoundaryProduct,
-    color_for_divisor,
-    meet_divisor,
-    product_to_decorated,
-)
+from .intersect import EMPTY, BoundaryProduct, color_for_divisor, product_to_decorated
 from .trees import (MarkedSet, Split, _complement, _families, _require_labels, _require_stable,
                     _split_of_block, _split_table, ordered_splits, tree_from_splits)
 from .weights import EvalResult, _price, balance, evaluate
@@ -293,8 +287,9 @@ def _split_decimal(value: int) -> decimal.Decimal:
 # One product's evaluation.  ``decorated`` is None when the strata do not
 # meet.  Every output format reads the tables these hold: the tree's
 # ``edges``, ``ends`` and ``dims`` (text and dot also its ``vertex_leaves``),
-# the decoration's ``edge_weight`` and ``vertex_psi``, and the result's
-# halves and factors, which are empty when no balanced weighting exists.
+# the decoration's ``edge_weight`` and psi weights (``psi_weight`` by label,
+# ``vertex_psi`` by vertex), and the result's halves and factors, which are
+# empty when no balanced weighting exists.
 _Report = collections.namedtuple("_Report", "product decorated result")
 
 
@@ -332,9 +327,8 @@ def _text_output(report: _Report) -> str:
             factors = list(map(_digits, result.edge_factors))
             lines += [f"{line}  halves {hp}+{hc}  factor {f}"
                       for line, (hp, hc), f in zip(edges, result.weighting.halves, factors)]
-        psi = sorted((lab, v, w) for v, pairs in enumerate(decorated.vertex_psi)
-                     for lab, w in pairs)
-        lines += [f"  psi at leaf {lab} (v{v}): weight {w}" for lab, v, w in psi]
+        lines += [f"  psi at leaf {lab} (v{tree.leaf_vertex(lab)}): weight {w}"
+                  for lab, w in decorated.psi_weight.items()]
         if result.weighting is not None:
             factors += map(_digits, result.vertex_factors)
             lines.append(f"factors: {' * '.join(factors)}")
@@ -392,8 +386,8 @@ def _dot_output(report: _Report) -> str:
         if weighting is not None:
             labels = [f"{label}: {hp}+{hc}" for label, (hp, hc) in zip(labels, weighting.halves)]
         lines += [f'  v{p} -- v{c} [label="{label}"];' for (p, c), label in zip(tree.ends, labels)]
-        for v, (leaves, pairs) in enumerate(zip(tree.vertex_leaves, decorated.vertex_psi)):
-            psi = dict(pairs)
+        psi = decorated.psi_weight
+        for v, leaves in enumerate(tree.vertex_leaves):
             for lab in leaves:
                 lines.append(f'  leaf{lab} [shape=plaintext, label="{lab}"];')
                 suffix = f' [label="psi={psi[lab]}"]' if lab in psi else ""
@@ -421,11 +415,14 @@ def _cmd_eval(args) -> int:
 
 
 def _coloring_steps(ground: MarkedSet, name: dict[Split, str]) -> list[str]:
-    # name: the product's divisors in factor order, each once, with their text
+    # name: the product's divisors in factor order, each once, with their text.
+    # Each step builds the stratum of the divisors inserted so far and colors
+    # it against the next: one tree build per step.  The coloring is the one
+    # crossing check: the earlier steps certified the prefix, so its build cannot fail.
     divisors = list(name)
     steps = ["assembling the stratum one divisor at a time:", f"  start with {name[divisors[0]]}"]
-    tree = tree_from_splits(ground, divisors[:1])
-    for d in divisors[1:]:
+    for i, d in enumerate(divisors[1:], 1):
+        tree = tree_from_splits(ground, divisors[:i])
         try:
             coloring = color_for_divisor(tree, d)
         except EdgeConditionFails as fail:
@@ -439,7 +436,6 @@ def _coloring_steps(ground: MarkedSet, name: dict[Split, str]) -> list[str]:
         blues = name[d].partition("|")[0]  # the leaves in the divisor's block
         steps.append(f"  insert {name[d]}: edge colors [{colored}]")
         steps.append(f"    blue leaves {{{blues}}}, split vertex v{coloring.split_vertex}")
-        tree = meet_divisor(tree, d)
     return steps
 
 
@@ -566,9 +562,7 @@ def _cmd_check(args) -> int:
             checked, failures = run(n)
             rows.append({"suite": name, "n": n, "checked": checked, "failures": failures})
     if not rows:
-        print(f"error: --n-max {args.n_max} leaves no n to check in suite '{args.suite}'",
-              file=sys.stderr)
-        return 2
+        raise M0nbarError(f"--n-max {args.n_max} leaves no n to check in suite '{args.suite}'")
     ok = all(r["failures"] == 0 for r in rows)
     if args.format == "json":
         print(json.dumps({"suite": args.suite, "n_max": args.n_max, "seed": args.seed,

@@ -259,9 +259,10 @@ class DecoratedTree:
     ``tree.dims[v]`` is degree(v) - 3, the dimension of the moduli factor
     the vertex contributes.  Edge weights count repeated divisor factors
     beyond the first, and ``edge_weight`` lists every edge in ``tree.edges`` order;
-    psi weights sit on leaves, and ``vertex_psi`` holds each vertex's
-    (leaf, weight) pairs in vertex order, built once; equality and the repr
-    leave it out, since it follows from the other fields.
+    psi weights sit on leaves: ``psi_weight`` maps each label of positive
+    weight to it in ascending label order, and ``vertex_psi`` holds each
+    vertex's (leaf, weight) pairs in vertex order, built once; equality and
+    the repr leave it out, since it follows from the other fields.
     """
 
     def __init__(self, tree: StableTree, edge_weight: dict[Split, int],

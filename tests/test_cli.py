@@ -528,7 +528,7 @@ def test_check_with_no_n_in_range_is_an_error(n_max, suite, capsys):
     assert main(["check", "--suite", suite, "--n-max", n_max]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == f"error: --n-max {n_max} leaves no n to check in suite '{suite}'\n"
 
 
 @pytest.mark.parametrize("command", [["eval", "--format", "json"], ["eval"], ["explain"]])
@@ -764,6 +764,21 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "peel v0" in out and "value = -36" in out
         assert len(calls) == 1
+
+    def test_builds_one_tree_per_printed_step(self, capsys, monkeypatch):
+        # EXAMPLE has 5 divisors: the report's stratum, plus the strata of
+        # the first 1..4 divisors that the coloring steps insert into
+        calls = []
+
+        def counted(ground, splits):
+            calls.append(splits)
+            return tree_from_splits(ground, splits)
+
+        monkeypatch.setattr("m0nbar.cli.tree_from_splits", counted)
+        monkeypatch.setattr("m0nbar.intersect.tree_from_splits", counted)
+        assert main(["explain", "--coloring", "--n", "15", EXAMPLE]) == 0
+        assert "value = -36" in capsys.readouterr().out
+        assert len(calls) == 5
 
     def test_coloring_reports_empty(self, capsys):
         assert main(["explain", "--n", "5", "--coloring", "D{1,2} D{1,3}"]) == 0

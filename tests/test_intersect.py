@@ -466,6 +466,13 @@ class TestDecoratedTree:
             with pytest.raises(ValueError):
                 DecoratedTree(tree, weights, {})
 
+    def test_psi_weights_ascend_by_label(self, nine_point_tree):
+        # the text and dot renderers read psi_weight in this order
+        given = {9: 1, 7: 2, 4: 0, 3: 1, 1: 3}
+        decorated = DecoratedTree(nine_point_tree, {}, given)
+        assert list(decorated.psi_weight) == [1, 3, 7, 9]
+        assert decorated.psi_weight == {1: 3, 3: 1, 7: 2, 9: 1}
+
 
 class TestStrataProduct:
     def test_self_intersection(self):
